@@ -36,9 +36,7 @@ from .distributions import (
     tnb_sample,
 )
 from .diversity import (
-    DiversityConfig,
     PosteriorSummary,
-    TruncationShortfallWarning,
     posterior_simpson,
     prob_distinct_pair,
     simpson_sample_estimate,
@@ -79,14 +77,12 @@ __all__ = [
     "Assignments",
     "ChainConfig",
     "ClusterSizes",
-    "DiversityConfig",
     "FrequencyCounts",
     "LogRTable",
     "LogStirlingTable",
     "Params",
     "PosteriorDraw",
     "PosteriorSummary",
-    "TruncationShortfallWarning",
     "a_mode_allows",
     "addition_rule_residual",
     "as_blocks",

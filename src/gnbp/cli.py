@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -40,8 +39,6 @@ from .distributions import (
     sample_cluster_structure,
 )
 from .diversity import (
-    DiversityConfig,
-    TruncationShortfallWarning,
     prob_distinct_pair,
     simpson_sample_estimate,
     summarize,
@@ -91,13 +88,11 @@ def _load_counts(args) -> tuple[str, FrequencyCounts]:
 
 
 def _chain_config(args) -> ChainConfig:
-    init = None
     init_flags = (args.init_gamma0, args.init_a, args.init_p)
-    if any(v is not None for v in init_flags):
-        if not all(v is not None for v in init_flags):
-            raise InputError("--init-gamma0/--init-a/--init-p must be given together")
-        init = Params(args.init_gamma0, args.init_a, args.init_p)
+    if any(v is not None for v in init_flags) and not all(v is not None for v in init_flags):
+        raise InputError("--init-gamma0/--init-a/--init-p must be given together")
     try:
+        init = None if init_flags[0] is None else Params(*init_flags)
         return ChainConfig(
             iterations=args.iterations,
             burn_in=args.burn_in,
@@ -114,21 +109,6 @@ def _chain_config(args) -> ChainConfig:
         raise InputError(str(exc)) from exc
 
 
-def _diversity_config(args) -> DiversityConfig:
-    mode = {"exact": "exact-truncated", "mc": "monte-carlo", "auto": "auto"}[
-        args.diversity_mode
-    ]
-    try:
-        return DiversityConfig(
-            mode=mode,
-            tail_epsilon=args.tail_epsilon,
-            n_cap=args.n_cap,
-            mc_draws=args.mc_draws,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _write_draws_csv(path: Path, draws) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -140,7 +120,7 @@ def _write_draws_csv(path: Path, draws) -> None:
                     repr(d.params.gamma0),
                     repr(d.params.a),
                     repr(d.params.p),
-                    "" if d.s_theta is None else repr(d.s_theta),
+                    repr(d.s_theta),
                     repr(d.log_ecpf),
                 ]
             )
@@ -151,20 +131,7 @@ def cmd_estimate(args) -> int:
     name, fc = _load_counts(args)
     sizes = to_cluster_sizes(fc)
     chain_cfg = _chain_config(args)
-    div_cfg = _diversity_config(args)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationShortfallWarning)
-        draws = run_chain(sizes, chain_cfg, div_cfg)
-    shortfalls = sum(
-        1 for w in caught if issubclass(w.category, TruncationShortfallWarning)
-    )
-    if shortfalls:
-        print(
-            f"note: the diversity truncation cap bound on {shortfalls} of "
-            f"{len(draws)} draws (tail mass left unsummed; see report)",
-            file=sys.stderr,
-        )
+    draws = run_chain(sizes, chain_cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,11 +159,12 @@ def cmd_estimate(args) -> int:
                 for k, v in dataclasses.asdict(chain_cfg).items()
                 if k != "init"
             },
-            "diversity": dataclasses.asdict(div_cfg),
         },
         "seed": chain_cfg.seed,
         "draw_count": len(draws),
-        "truncation_shortfalls": shortfalls,
+        # The diversity index no longer truncates a series, so this is
+        # always 0; it stays because perfbench/workloads.py reads it.
+        "truncation_shortfalls": 0,
         "draws_csv": str(draws_path),
         "posterior": posterior,
         "wall_seconds": time.perf_counter() - t0,
@@ -413,9 +381,7 @@ def _table1_task(payload: dict) -> dict:
         a_grid_step=payload["a_grid_step"],
         p_grid_step=payload["p_grid_step"],
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationShortfallWarning)
-        draws = run_chain(sizes, cfg, DiversityConfig(**payload["diversity"]))
+    draws = run_chain(sizes, cfg)
     summ = summarize(d.s_theta for d in draws)
     target = payload["target"]
     return {
@@ -446,7 +412,6 @@ def run_table1_study(
     thin: int = 5,
     a_grid_step: float = 1e-3,
     p_grid_step: float = 5e-3,
-    diversity: DiversityConfig | None = None,
     target: float = DEFAULT_TABLE1_TARGET,
     workers: int = 1,
 ) -> tuple[list[dict], list[dict]]:
@@ -462,8 +427,6 @@ def run_table1_study(
     if replicates < 1:
         raise ValueError("replicates must be positive")
     fc = bundled_datasets()["est-tomato"]
-    if diversity is None:
-        diversity = DiversityConfig()
     payloads = [
         {
             "fc_entries": fc.entries,
@@ -477,7 +440,6 @@ def run_table1_study(
             "thin": thin,
             "a_grid_step": a_grid_step,
             "p_grid_step": p_grid_step,
-            "diversity": dataclasses.asdict(diversity),
             "target": target,
         }
         for rep in range(replicates)
@@ -579,12 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--init-gamma0", type=float, default=None)
     est.add_argument("--init-a", type=float, default=None)
     est.add_argument("--init-p", type=float, default=None)
-    est.add_argument(
-        "--diversity-mode", choices=["auto", "exact", "mc"], default="auto"
-    )
-    est.add_argument("--tail-epsilon", type=float, default=1e-8)
-    est.add_argument("--n-cap", type=int, default=2000)
-    est.add_argument("--mc-draws", type=int, default=20)
     est.add_argument("--out", default=".", help="output directory")
     est.set_defaults(func=cmd_estimate)
 

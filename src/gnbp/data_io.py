@@ -45,6 +45,13 @@ class FrequencyCounts:
         return sum(m for _, m in self.entries)
 
 
+def _is_integral_number(value) -> bool:
+    """A JSON number with an integer value (3 or 3.0, not 3.7, "3" or true)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 def parse_frequency_counts(text: str) -> FrequencyCounts:
     """Parse frequency counts from CSV lines "i,m_i" (optional header) or
     from a JSON object {"counts": [[i, m_i], ...]}."""
@@ -62,6 +69,8 @@ def parse_frequency_counts(text: str) -> FrequencyCounts:
         for item in pairs:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"malformed counts entry: {item!r}")
+            if not all(_is_integral_number(v) for v in item):
+                raise ValueError(f"counts entry {item!r} must hold two integers")
             entries.append((int(item[0]), int(item[1])))
         return FrequencyCounts(tuple(entries))
 

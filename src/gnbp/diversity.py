@@ -5,60 +5,29 @@ sample size), and order-statistics summaries of posterior draws.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.polynomial.legendre import leggauss
 
-from .core_math import NEG_INF, LogStirlingTable, log_sum_exp
-from .distributions import (
-    ClusterSizes,
-    Params,
-    gnb_mean,
-    kappa,
-    log_weighted_stirling_sum,
-    sample_cluster_structure,
-)
+from .distributions import ZERO_DISCOUNT_TOL, ClusterSizes, Params
+# Unused here, but perfbench/tracing.py wraps this name in this module.
+from .distributions import sample_cluster_structure  # noqa: F401
 from .partitions import LogRTable
 
-# Above this marginal mean the exact truncated sum becomes expensive
-# (its cost grows quadratically in the truncation point), so "auto"
-# mode falls back to Monte Carlo.
-_EXACT_MEAN_LIMIT = 500.0
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """16-node Gauss-Legendre nodes and weights mapped to [0, 1].
 
-class TruncationShortfallWarning(UserWarning):
-    """Emitted when the hard cap on the truncated sum binds before the
-    requested tail mass has been reached."""
-
-
-@dataclass(frozen=True)
-class DiversityConfig:
-    """Controls evaluation of the random-sample-size diversity index.
-
-    mode "exact-truncated" sums the series over n until the cumulative
-    marginal mass reaches 1 - tail_epsilon (hard-capped at n_cap);
-    "monte-carlo" averages the fixed-n probability over mc_draws
-    simulated sample sizes; "auto" picks exact-truncated unless the
-    marginal mean exceeds 500.
+    Built on first use: the eigen-solve inside leggauss starts the BLAS
+    library, about 0.7 MB of resident memory that commands without a
+    diversity index need not pay.
     """
-
-    mode: str = "auto"
-    tail_epsilon: float = 1e-8
-    n_cap: int = 2000
-    mc_draws: int = 20
-
-    def __post_init__(self):
-        if self.mode not in ("auto", "exact-truncated", "monte-carlo"):
-            raise ValueError(f"unknown diversity mode {self.mode!r}")
-        if not 0.0 < self.tail_epsilon < 1.0:
-            raise ValueError("tail_epsilon must lie in (0, 1)")
-        if self.n_cap < 2:
-            raise ValueError("n_cap must be at least 2")
-        if self.mc_draws < 1:
-            raise ValueError("mc_draws must be positive")
+    nodes, weights = leggauss(16)
+    return (nodes + 1.0) / 2.0, weights / 2.0
 
 
 def simpson_sample_estimate(sizes: ClusterSizes) -> float:
@@ -84,151 +53,80 @@ def prob_distinct_pair(n: int, params: Params, rtable: LogRTable) -> float:
     return math.exp(log_unit + rtable.entry(2, 2) - rtable.entry(1, 1))
 
 
-def _advance_path_weights(v: np.ndarray, n: int, j_lo: int, a: float,
-                          log_unit: float) -> np.ndarray:
-    """One forward step of the allocation-path recursion.
+def _log_ratio_at_drop(level: float, log_gq: float, a: float) -> float:
+    """log r at which g (1 - p)^a phi(r) first reaches ``level``, where
+    phi(r) = ((1 + r)^a - 1) / a (log1p(r) at a = 0) and exp(log_gq) is
+    g (1 - p)^a; +inf when it never does (for a < 0, phi stays below -1/a)."""
+    log_c = math.log(level) - log_gq
+    if log_c > 700.0:
+        return math.inf
+    c = math.exp(log_c)
+    if c < 1e-300:
+        return log_c  # phi(r) = r to first order
+    if abs(a) < ZERO_DISCOUNT_TOL:
+        y = c
+    elif a * c > -1.0:
+        y = math.log1p(a * c) / a
+    else:
+        return math.inf
+    return math.log(math.expm1(y)) if y < 700.0 else math.inf
 
-    v holds log path weights over states j = j_lo..n at level n; the
-    returned vector covers j = j_lo..n+1 at level n+1 under
 
-        V_{n+1}(j) = (n - a j) V_n(j) + gamma0 p^{-a} V_n(j - 1).
+def simpson_theta(params: Params) -> float:
+    """Diversity index at fixed parameters with the sample size random,
+
+        sum_{n>=2} P(distinct | n) p_N(n) / P(N >= 2),
+
+    in closed form as S_theta = N / (N + M).  With the cluster
+    exponential generating function f(x) = (1 - (1 - x)^a) / a,
+    g = gamma0 p^-a and E(x) = exp(g f(x) - gamma0 kappa), marking two
+    individuals splits the second derivative of exp(g f) into a
+    "different blocks" term (g f')^2 and a "same block" term g f''
+    (exp-formula; Flajolet & Sedgewick, Analytic Combinatorics, 2009), so
+
+        N = int_0^p (p - x) g^2 (1 - x)^(2a - 2) E(x) dx,
+        M = int_0^p (p - x) g (1 - a) (1 - x)^(a - 2) E(x) dx.
+
+    Both are integrated in u = log t, t = p - x, by a 16-node
+    Gauss-Legendre rule on unit panels.  The panels start 25 below the
+    log of the smallest scale of the integrands: the peak width
+    1 / (g (1 - p)^(a - 1)), the power-law scale (1 - p) / (4 - 2a), or p.
+    They stop at p, or earlier where the exponent
+    g (f(p) - f(x)) exceeds 52 plus twice the log-range above that scale,
+    past which the integrands are below e^-50 of their peak.  Powers of
+    g and 1 - p are kept as logarithms, so the rule stays finite at
+    discounts far below zero.
     """
-    js = np.arange(j_lo, n + 1, dtype=float)
-    stay = np.log(n - a * js) + v
-    return np.logaddexp(
-        np.append(stay, NEG_INF), np.concatenate(([NEG_INF], v + log_unit))
-    )
+    gamma0, a, p = params.gamma0, params.a, params.p
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_g = math.log(gamma0) - a * log_p
+    log_gq = log_g + a * log_q
+    zero = abs(a) < ZERO_DISCOUNT_TOL
 
+    log_s = min(log_p, log_q - log_gq, log_q - math.log(4.0 - 2.0 * a))
+    u_lo = log_s - 25.0
+    level = 52.0 + 2.0 * (log_p - log_s)
+    u_hi = min(log_p, log_q + _log_ratio_at_drop(level, log_gq, a))
+    panels = max(1, math.ceil(u_hi - u_lo))
+    width = (u_hi - u_lo) / panels
+    nodes, weights = _gauss_legendre()
+    u = (u_lo + width * (np.arange(panels)[:, None] + nodes)).ravel()
 
-def _log_pair_curves(
-    params: Params, n_max: int, wanted: set[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """log R_n(1, 1) for n = 1..n_max and log R_n(2, 2) for n = 2..n_max,
-    all in one forward sweep.
-
-    Summing path weights from a fixed start state reproduces the backward
-    recursion's values for every horizon n simultaneously, so evaluating
-    the pair-distinctness probability over many sample sizes costs the
-    same as one table build.  When ``wanted`` is given, the sums are only
-    materialized at those horizons (other entries stay NaN).
-    """
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
-    a = params.a
-    log_unit = math.log(params.gamma0) - a * math.log(params.p)
-    log_r11 = np.full(n_max + 1, np.nan)
-    log_r22 = np.full(n_max + 1, np.nan)
-    v11 = np.array([0.0])
-    log_r11[1] = 0.0
-    v22 = np.array([0.0])
-    log_r22[2] = 0.0
-    for n in range(1, n_max):
-        v11 = _advance_path_weights(v11, n, 1, a, log_unit)
-        if n >= 2:
-            v22 = _advance_path_weights(v22, n, 2, a, log_unit)
-        if wanted is None or n + 1 in wanted:
-            log_r11[n + 1] = log_sum_exp(v11)
-            if n >= 2:
-                log_r22[n + 1] = log_sum_exp(v22)
-    return log_r11, log_r22
-
-
-def _simpson_theta_exact(params: Params, stirling: LogStirlingTable,
-                         config: DiversityConfig) -> float:
-    """Truncated evaluation of the random-n diversity index.
-
-    Each term of the series is P(distinct | n) * p_N(n), which reduces to
-    gamma0^2 p^{-2a} e^{-gamma0 kappa} (p^n / n!) R_n(2, 2).  The
-    R_n(2, 2) values for every n come from one forward path-weight sweep
-    (see _advance_path_weights) instead of one backward table per n, so
-    the whole sum costs as much as a single table build.
-    """
-    g0k = params.gamma0 * kappa(params)
-    lp = math.log(params.p)
-    log_unit = math.log(params.gamma0) - params.a * lp
-    a = params.a
-
-    cum = math.exp(-g0k) + math.exp(math.log(params.gamma0) + (1.0 - a) * lp - g0k)
-    threshold = 1.0 - config.tail_epsilon
-
-    num_terms: list[float] = []
-    den_terms: list[float] = []
-    v = np.array([0.0])  # log V_2(j), states j = 2..n
-    n = 2
-    while True:
-        log_r22 = log_sum_exp(v)
-        log_w = (
-            n * lp
-            - float(gammaln(n + 1))
-            - g0k
-            + log_weighted_stirling_sum(n, params, stirling)
-        )
-        den_terms.append(log_w)
-        num_terms.append(2.0 * log_unit + log_r22 + n * lp - float(gammaln(n + 1)) - g0k)
-        cum += math.exp(log_w)
-        if cum >= threshold:
-            break
-        if n >= config.n_cap:
-            warnings.warn(
-                f"truncation cap n_cap={config.n_cap} reached with "
-                f"{1.0 - cum:.3e} marginal mass unaccounted for "
-                f"(requested tail {config.tail_epsilon:.1e})",
-                TruncationShortfallWarning,
-                stacklevel=3,
-            )
-            break
-        v = _advance_path_weights(v, n, 2, a, log_unit)
-        n += 1
-    return math.exp(log_sum_exp(num_terms) - log_sum_exp(den_terms))
-
-
-def _simpson_theta_mc(params: Params, config: DiversityConfig,
-                      rng: np.random.Generator) -> float:
-    sizes: list[int] = []
-    attempts = 0
-    max_attempts = 10_000 * config.mc_draws
-    while len(sizes) < config.mc_draws:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(
-                "rejection sampling of sample sizes >= 2 is not terminating; "
-                "the marginal mass below 2 is too large for Monte Carlo mode"
-            )
-        n = sample_cluster_structure(params, rng).n
-        if n >= 2:
-            sizes.append(n)
-    log_r11, log_r22 = _log_pair_curves(params, max(sizes), wanted=set(sizes))
-    log_unit = math.log(params.gamma0) - params.a * math.log(params.p)
-    vals = np.exp(log_unit + log_r22[sizes] - log_r11[sizes])
-    return float(np.mean(vals))
-
-
-def simpson_theta(
-    params: Params,
-    stirling: LogStirlingTable,
-    config: DiversityConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Diversity index at fixed parameters with the sample size random:
-
-        sum_{n>=2} P(distinct | n) p_N(n) / (1 - p_N(0) - p_N(1)).
-
-    In exact-truncated mode the series is summed until the cumulative
-    marginal mass reaches 1 - tail_epsilon (capped at n_cap, with a
-    warning if the cap binds) and renormalized over the included terms.
-    Monte Carlo mode instead averages P(distinct | n) over simulated
-    sizes conditioned on n >= 2 by rejection, and requires an rng.
-    """
-    if config is None:
-        config = DiversityConfig()
-    mode = config.mode
-    if mode == "auto":
-        mode = "monte-carlo" if gnb_mean(params) > _EXACT_MEAN_LIMIT else "exact-truncated"
-    if mode == "exact-truncated":
-        return _simpson_theta_exact(params, stirling, config)
-    if rng is None:
-        raise ValueError("monte-carlo mode needs an rng")
-    return _simpson_theta_mc(params, config, rng)
+    log_r = u - log_q  # r = t / (1 - p)
+    r = np.exp(log_r)
+    with np.errstate(over="ignore", divide="ignore"):
+        phi = np.log1p(r) if zero else np.expm1(a * np.log1p(r)) / a
+        log_phi = np.where(r > 1e-200, np.log(phi), log_r)
+        drop = np.exp(log_gq + log_phi)  # g (f(p) - f(x)) = g (1 - p)^a phi(r)
+    log_1mx = np.logaddexp(log_q, u)  # log(1 - x) = log(1 - p + t)
+    # Log integrands of N / g and M / g in u, whose Jacobian adds one t.
+    base = 2.0 * u - drop
+    log_n = base + log_g + (2.0 * a - 2.0) * log_1mx
+    log_m = base + math.log1p(-a) + (a - 2.0) * log_1mx
+    ref = max(log_n.max(), log_m.max())
+    n_part = float(np.sum(np.exp(log_n - ref).reshape(panels, -1) @ weights))
+    m_part = float(np.sum(np.exp(log_m - ref).reshape(panels, -1) @ weights))
+    return n_part / (n_part + m_part)
 
 
 @dataclass(frozen=True)

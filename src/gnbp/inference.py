@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .core_math import LogStirlingTable, build_stirling_table, log_sum_exp
+from .core_math import log_sum_exp
+# Unused here, but perfbench/tracing.py wraps this name in this module.
+from .core_math import build_stirling_table  # noqa: F401
 from .distributions import (
     ZERO_DISCOUNT_TOL,
     ClusterSizes,
@@ -26,7 +28,7 @@ from .distributions import (
     kappa,
     kappa_ap,
 )
-from .diversity import DiversityConfig, simpson_theta
+from .diversity import simpson_theta
 from .partitions import ecpf_log
 
 
@@ -102,12 +104,12 @@ class ChainConfig:
 @dataclass(frozen=True)
 class PosteriorDraw:
     """One retained draw: the parameter triple, its log joint
-    cluster-structure likelihood, and (optionally) its diversity index."""
+    cluster-structure likelihood, and its diversity index."""
 
     iteration: int
     params: Params
     log_ecpf: float
-    s_theta: float | None = None
+    s_theta: float
 
 
 def update_gamma0(
@@ -129,24 +131,47 @@ def _a_grid(step: float) -> np.ndarray:
     return 2.0 - 1.0 / atil
 
 
+def _discount_data_term(sizes: ClusterSizes, a_values: np.ndarray) -> np.ndarray:
+    """sum_k [lgamma(n_k - a) - lgamma(1 - a)] over grid values, with size
+    multiplicities so ties cost one lgamma each."""
+    term = -sizes.l * gammaln(1.0 - a_values)
+    uniq, mult = sizes.size_multiplicities()
+    for s, m in zip(uniq, mult):
+        term += m * gammaln(s - a_values)
+    return term
+
+
 def a_grid_log_target(
-    sizes: ClusterSizes, gamma0: float, p: float, a_values: np.ndarray
+    sizes: ClusterSizes,
+    gamma0: float,
+    p: float,
+    a_values: np.ndarray,
+    data_term: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized log conditional of the discount over grid values:
 
         -gamma0 kappa(a, p) - a l log p
             + sum_k [lgamma(n_k - a) - lgamma(1 - a)]
 
-    evaluated with size multiplicities so ties cost one lgamma each.
+    The last sum depends only on the data and the grid; a chain computes
+    it once and passes it as ``data_term``.
     """
-    l = sizes.l
+    if data_term is None:
+        data_term = _discount_data_term(sizes, a_values)
     with np.errstate(over="ignore", invalid="ignore"):
-        logw = -gamma0 * kappa_ap(a_values, p) - a_values * l * math.log(p)
-    uniq, mult = sizes.size_multiplicities()
-    for s, m in zip(uniq, mult):
-        logw += m * gammaln(s - a_values)
-    logw -= l * gammaln(1.0 - a_values)
-    return logw
+        return data_term - gamma0 * kappa_ap(a_values, p) - a_values * (sizes.l * math.log(p))
+
+
+def _discount_grid(sizes: ClusterSizes, config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The atil grid's discount values allowed by a non-fixed a_mode, and
+    their data term (see a_grid_log_target)."""
+    kind, _ = parse_a_mode(config.a_mode)
+    a_values = _a_grid(config.a_grid_step)
+    if kind == "nonneg":
+        a_values = a_values[a_values >= 0.0]
+    elif kind == "neg":
+        a_values = a_values[a_values < 0.0]
+    return a_values, _discount_data_term(sizes, a_values)
 
 
 def _grid_draw(values: np.ndarray, logw: np.ndarray, rng: np.random.Generator) -> float:
@@ -159,19 +184,23 @@ def _grid_draw(values: np.ndarray, logw: np.ndarray, rng: np.random.Generator) -
 
 
 def update_a_griddy(
-    sizes: ClusterSizes, params: Params, config: ChainConfig, rng: np.random.Generator
+    sizes: ClusterSizes,
+    params: Params,
+    config: ChainConfig,
+    rng: np.random.Generator,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Griddy Gibbs draw of the discount over the atil = 1/(2 - a) grid,
-    masked down to the active a_mode; identity under a fixed mode."""
+    restricted to the active a_mode; identity under a fixed mode.
+
+    ``grid`` is the chain's cached (values, data term) pair; it is built
+    here when not given.
+    """
     kind, _ = parse_a_mode(config.a_mode)
     if kind == "fixed":
         return params.a
-    a_values = _a_grid(config.a_grid_step)
-    logw = a_grid_log_target(sizes, params.gamma0, params.p, a_values)
-    if kind == "nonneg":
-        logw = np.where(a_values >= 0.0, logw, -np.inf)
-    elif kind == "neg":
-        logw = np.where(a_values < 0.0, logw, -np.inf)
+    a_values, data_term = _discount_grid(sizes, config) if grid is None else grid
+    logw = a_grid_log_target(sizes, params.gamma0, params.p, a_values, data_term)
     return _grid_draw(a_values, logw, rng)
 
 
@@ -211,42 +240,34 @@ def _initial_params(sizes: ClusterSizes, config: ChainConfig) -> Params:
     return Params(gamma0, a0, p0)
 
 
-def run_chain(
-    sizes: ClusterSizes,
-    config: ChainConfig,
-    diversity_config: DiversityConfig | None = None,
-) -> list[PosteriorDraw]:
+def run_chain(sizes: ClusterSizes, config: ChainConfig) -> list[PosteriorDraw]:
     """Systematic-scan Gibbs over (gamma0, a, p).
 
     Retains every thin-th iteration after burn-in, recording for each
-    draw the log joint cluster-structure likelihood and, when a
-    diversity configuration is supplied, the diversity index at that
-    draw.  Bit-reproducible for a fixed seed and configuration.
+    draw the log joint cluster-structure likelihood and the diversity
+    index at that draw.  Bit-reproducible for a fixed seed and
+    configuration.
     """
     if sizes.n < 1:
         raise ValueError("need at least one observed individual")
     rng = np.random.default_rng(config.seed)
     params = _initial_params(sizes, config)
+    fixed = parse_a_mode(config.a_mode)[0] == "fixed"
+    grid = None if fixed else _discount_grid(sizes, config)
     draws: list[PosteriorDraw] = []
-    stirling: LogStirlingTable | None = None
     for t in range(1, config.iterations + 1):
         params = replace(params, gamma0=update_gamma0(sizes, params, config, rng))
-        params = replace(params, a=update_a_griddy(sizes, params, config, rng))
+        params = replace(params, a=update_a_griddy(sizes, params, config, rng, grid))
         params = replace(params, p=update_p(sizes, params, config, rng))
         if t <= config.burn_in or (t - config.burn_in) % config.thin != 0:
             continue
         assert a_mode_allows(config.a_mode, params.a)
-        s_theta = None
-        if diversity_config is not None:
-            if stirling is None or stirling.a != params.a:
-                stirling = build_stirling_table(1, params.a)
-            s_theta = simpson_theta(params, stirling, diversity_config, rng)
         draws.append(
             PosteriorDraw(
                 iteration=t,
                 params=params,
                 log_ecpf=ecpf_log(sizes, params),
-                s_theta=s_theta,
+                s_theta=simpson_theta(params),
             )
         )
     return draws

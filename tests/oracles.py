@@ -155,6 +155,69 @@ def exact_total_count_pmf(params: Params, upto: int) -> np.ndarray:
     return out
 
 
+def simpson_theta_series(params: Params, rel_tail: float = 1e-11,
+                         n_max: int = 100_000) -> tuple[float, float]:
+    """(S_theta, 1 - S_theta) as series over the sample size n, by a route
+    that uses neither Stirling numbers, R tables nor quadrature.
+
+    N is compound Poisson: Poisson(lam) clusters, lam = gamma0 kappa,
+    with iid sizes of law q.  With
+        b(u) = u lam q(u) = u gamma0 Gamma(u - a) p^(u - a) / (Gamma(1 - a) u!),
+    Panjer's recursion gives n p_N(n) = sum_u b(u) p_N(n - u), and the
+    factorial moment measures of the Poisson cluster process give the
+    expected numbers of ordered pairs of individuals on {N = n}:
+        same cluster:       sum_u (u - 1) b(u) p_N(n - u),
+        different clusters: sum_m (b * b)(m) p_N(n - m).
+    Divided by n (n - 1) these are P(same | n) p_N(n) and
+    P(distinct | n) p_N(n).  Both are summed over n >= 2 until the mass
+    summed is within a relative ``rel_tail`` of P(N >= 2), which is known
+    in closed form, and the last term of each sum is below ``rel_tail``
+    of that sum; each is then divided by the mass.  All terms are
+    positive, so a tiny S_theta or 1 - S_theta keeps its relative
+    precision.  Values are carried scaled by e^lam, so lam must stay
+    below 600.
+    """
+    g0, a, p = params.gamma0, params.a, params.p
+    if a == 0.0:
+        kap = -math.log1p(-p)
+    else:
+        kap = -math.expm1(a * math.log1p(-p)) / a * math.exp(-a * math.log(p))
+    lam = g0 * kap
+    if not lam < 600.0:
+        raise ValueError(f"lam = {lam} is too large for the scaled recursion")
+    u = np.arange(1, n_max + 1, dtype=float)
+    b = np.zeros(n_max + 1)
+    b[1:] = np.exp(
+        np.log(u) + math.log(g0) + gammaln(u - a) - gammaln(1.0 - a)
+        - gammaln(u + 1.0) + (u - a) * math.log(p)
+    )
+    b_same = b * (np.arange(n_max + 1) - 1.0)
+    b_pair = np.zeros(n_max + 1)
+    pn = np.zeros(n_max + 1)  # e^lam p_N(n)
+    pn[0] = 1.0
+    target = (math.expm1(lam) - b[1]) * (1.0 - rel_tail)
+    mass = same = distinct = 0.0
+    for n in range(1, n_max + 1):
+        pn[n] = np.dot(b[1 : n + 1], pn[n - 1 :: -1]) / n
+        if n < 2:
+            continue
+        b_pair[n] = np.dot(b[1:n], b[n - 1 : 0 : -1])
+        rest = pn[n - 2 :: -1]  # p_N(n - m) for m = 2..n
+        pairs = n * (n - 1.0)
+        same_n = np.dot(b_same[2 : n + 1], rest) / pairs
+        distinct_n = np.dot(b_pair[2 : n + 1], rest) / pairs
+        mass += pn[n]
+        same += same_n
+        distinct += distinct_n
+        if (
+            mass >= target
+            and same_n <= rel_tail * same
+            and distinct_n <= rel_tail * distinct
+        ):
+            return distinct / mass, same / mass
+    raise RuntimeError(f"series did not reach its tail within n = {n_max}")
+
+
 def tv_distance_counts(emp: dict[int, int], total: int, exact: np.ndarray) -> float:
     """Total variation between an empirical counts dict and an exact PMF
     vector over 0..len(exact)-1 (exact tail mass beyond counts as-is)."""

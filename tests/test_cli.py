@@ -1,9 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gnbp
 
 from gnbp.cli import main, run_table1_study, run_validation_checks
 
@@ -94,6 +101,47 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_invalid_init_exits_2_with_one_line(self, tmp_path, capsys):
+        code = run_cli(
+            ["estimate", "--dataset", "tcr-treg-diabetic-1", "--init-gamma0", "1",
+             "--init-a", "2", "--init-p", "0.5", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", ["[1, 3.7]", "[1, true]", "[2.5, 1]"])
+    def test_non_integral_json_counts_exit_2(self, tmp_path, capsys, pair):
+        data = tmp_path / "counts.json"
+        data.write_text('{"counts": [' + pair + "]}")
+        code = run_cli(["estimate", "--input", str(data), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    # Both inputs below ran past 120 s while the diversity index was a
+    # series over n; at 50 retained draws each now takes well under 1 s.
+    def _check_bounded_cost(self, tmp_path, source):
+        t0 = time.perf_counter()
+        code = run_cli(
+            ["estimate", *source, "--iterations", "100", "--burn-in", "50",
+             "--out", str(tmp_path)]
+        )
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        with (tmp_path / "draws.csv").open() as fh:
+            s_theta = [float(r["s_theta"]) for r in csv.DictReader(fh)]
+        assert len(s_theta) == 50
+        assert all(0.0 < s < 1.0 for s in s_theta)
+        assert elapsed < 30.0
+
+    def test_bounded_cost_est_tomato_fixed_discount(self, tmp_path):
+        self._check_bounded_cost(tmp_path, ["--dataset", "est-tomato", "--a-mode", "fixed=-50"])
+
+    def test_bounded_cost_one_huge_cluster(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("1000000,1\n")
+        self._check_bounded_cost(tmp_path, ["--input", str(path)])
+
     @pytest.mark.slow
     def test_est_population_thinned_run(self, tmp_path):
         # the headline use case at full defaults: 2000 iterations thinned
@@ -108,6 +156,14 @@ class TestEstimate:
         assert report["draw_count"] == 200
         s = report["posterior"]["s_theta"]
         assert abs(s["mean"] - 0.9993) < 5e-3
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate adds about 0.3 s to every command's start-up
+    src = str(Path(gnbp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gnbp.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSimulate:

@@ -2,16 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnbp import (
     ClusterSizes,
-    DiversityConfig,
     Params,
-    TruncationShortfallWarning,
     build_log_r_table,
-    build_stirling_table,
     bundled_datasets,
-    gnb_log_pmf,
     posterior_simpson,
     prob_distinct_pair,
     sample_cluster_structure,
@@ -20,6 +18,10 @@ from gnbp import (
     summarize,
     to_cluster_sizes,
 )
+from gnbp.inference import _a_grid
+
+from oracles import simpson_theta_series
+from test_acceptance import DISCOUNTS, GAMMAS, PS
 
 
 class TestSampleEstimate:
@@ -112,53 +114,56 @@ class TestProbDistinctPair:
             prob_distinct_pair(10, Params(1.0, 0.5, 0.4), rt)
 
 
-def _reference_truncated_value(params, tail_epsilon=1e-8, n_cap=2000):
-    """Per-n frontier-table evaluation with the same truncation rule."""
-    table = build_stirling_table(2, params.a)
-    cum = math.exp(gnb_log_pmf(0, params, table)) + math.exp(
-        gnb_log_pmf(1, params, table)
-    )
-    num = den = 0.0
-    n = 2
-    while True:
-        w = math.exp(gnb_log_pmf(n, params, table))
-        rt = build_log_r_table(n, params, mode="frontier", i_min=2)
-        num += w * prob_distinct_pair(n, params, rt)
-        den += w
-        cum += w
-        if cum >= 1.0 - tail_epsilon or n >= n_cap:
-            break
-        n += 1
-    return num / den
-
-
 class TestSimpsonTheta:
-    def test_zero_discount_closed_form_exact_mode(self):
-        params = Params(1.5, 0.0, 0.4)
-        table = build_stirling_table(1, 0.0)
-        cfg = DiversityConfig(mode="exact-truncated")
-        val = simpson_theta(params, table, cfg)
-        assert abs(val - params.gamma0 / (1.0 + params.gamma0)) < 1e-10
+    def test_zero_discount_identity(self):
+        for gamma0, p in ((1.5, 0.4), (0.01, 0.99), (9999.0, 0.5), (3.0, 0.001)):
+            val = simpson_theta(Params(gamma0, 0.0, p))
+            assert abs(val - gamma0 / (1.0 + gamma0)) <= 1e-12
 
-    def test_zero_discount_closed_form_mc_mode(self):
-        params = Params(1.5, 0.0, 0.4)
-        table = build_stirling_table(1, 0.0)
-        cfg = DiversityConfig(mode="monte-carlo", mc_draws=50)
-        rng = np.random.default_rng(3)
-        val = simpson_theta(params, table, cfg, rng)
-        assert abs(val - params.gamma0 / (1.0 + params.gamma0)) < 1e-10
+    @pytest.mark.parametrize(
+        "params",
+        [Params(g, a, p) for g in GAMMAS for a in DISCOUNTS for p in PS],
+        ids=str,
+    )
+    def test_matches_series_oracle_on_acceptance_grid(self, params):
+        ref, complement = simpson_theta_series(params)
+        assert ref + complement == pytest.approx(1.0, abs=1e-12)
+        assert simpson_theta(params) == pytest.approx(ref, rel=1e-9)
 
-    def test_exact_mode_matches_per_n_reference(self):
-        for params in (Params(1.0, 0.5, 0.3), Params(2.0, -1.0, 0.5)):
-            table = build_stirling_table(1, params.a)
-            val = simpson_theta(params, table, DiversityConfig(mode="exact-truncated"))
-            ref = _reference_truncated_value(params)
-            assert val == pytest.approx(ref, rel=1e-10)
+    @pytest.mark.parametrize(
+        "params",
+        # where a series that stops on unconditional mass goes wrong:
+        # P(N >= 2) is about 1e-6 and 5e-66 of the mass
+        [Params(0.001, -1.0, 0.2), Params(3.0, -50.0, 0.05)],
+        ids=str,
+    )
+    def test_matches_series_oracle_when_two_or_more_is_rare(self, params):
+        ref, _ = simpson_theta_series(params)
+        assert simpson_theta(params) == pytest.approx(ref, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma0=st.floats(0.05, 5.0),
+        a=st.floats(-3.0, 0.9),
+        p=st.floats(0.02, 0.8),
+    )
+    def test_matches_series_oracle_at_random_parameters(self, gamma0, a, p):
+        params = Params(gamma0, a, p)
+        ref, _ = simpson_theta_series(params)
+        assert simpson_theta(params) == pytest.approx(ref, rel=1e-9)
+
+    def test_finite_at_default_grid_corners(self):
+        a_grid = _a_grid(1e-4)
+        p_grid = np.arange(1, 1000, dtype=float) * 1e-3
+        for gamma0 in (1e-3, 1.0, 1e4):
+            for a in (a_grid[0], a_grid[-1]):
+                for p in (p_grid[0], p_grid[-1]):
+                    val = simpson_theta(Params(gamma0, a, p))
+                    assert math.isfinite(val) and 0.0 <= val <= 1.0
 
     def test_exact_and_monte_carlo_agree(self):
         params = Params(1.0, 0.5, 0.3)
-        table = build_stirling_table(1, params.a)
-        exact = simpson_theta(params, table, DiversityConfig(mode="exact-truncated"))
+        exact = simpson_theta(params)
 
         # independent MC with a standard error estimate
         rng = np.random.default_rng(71)
@@ -172,36 +177,6 @@ class TestSimpsonTheta:
         draws = np.asarray(draws)
         se = draws.std() / math.sqrt(len(draws))
         assert abs(exact - draws.mean()) < 3 * se
-
-        mc_cfg = DiversityConfig(mode="monte-carlo", mc_draws=10_000)
-        mc_val = simpson_theta(params, table, mc_cfg, np.random.default_rng(72))
-        assert abs(exact - mc_val) < 3 * se
-
-    def test_auto_mode_picks_monte_carlo_for_large_means(self):
-        # mean gamma0 (p/(1-p))^(1-a) = 9999 without an rng must fail
-        params = Params(9999.0, 0.0, 0.5)
-        table = build_stirling_table(1, 0.0)
-        with pytest.raises(ValueError):
-            simpson_theta(params, table, DiversityConfig(mode="auto"))
-        val = simpson_theta(
-            params, table, DiversityConfig(mode="auto", mc_draws=3),
-            np.random.default_rng(0),
-        )
-        assert abs(val - params.gamma0 / (1.0 + params.gamma0)) < 1e-10
-
-    def test_cap_shortfall_warns(self):
-        params = Params(1.0, 0.5, 0.5)
-        table = build_stirling_table(1, params.a)
-        cfg = DiversityConfig(mode="exact-truncated", tail_epsilon=1e-12, n_cap=20)
-        with pytest.warns(TruncationShortfallWarning):
-            simpson_theta(params, table, cfg)
-
-    def test_invariant_to_cap_once_tail_is_met(self):
-        params = Params(1.0, 0.5, 0.3)
-        table = build_stirling_table(1, params.a)
-        a = simpson_theta(params, table, DiversityConfig(mode="exact-truncated", n_cap=500))
-        b = simpson_theta(params, table, DiversityConfig(mode="exact-truncated", n_cap=2000))
-        assert a == b
 
 
 class TestPosteriorSummaries:
@@ -236,26 +211,3 @@ class TestPosteriorSummaries:
         s = summarize([0.1, 0.2, 0.3, 0.4])
         assert s.covers95(0.25)
         assert not s.covers50(0.9)
-
-
-class TestDiversityConfig:
-    def test_defaults(self):
-        cfg = DiversityConfig()
-        assert cfg.mode == "auto"
-        assert cfg.tail_epsilon == 1e-8
-        assert cfg.n_cap == 2000
-        assert cfg.mc_draws == 20
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mode": "bogus"},
-            {"tail_epsilon": 0.0},
-            {"tail_epsilon": 1.5},
-            {"n_cap": 1},
-            {"mc_draws": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            DiversityConfig(**kwargs)

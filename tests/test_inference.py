@@ -6,7 +6,6 @@ import pytest
 from gnbp import (
     ChainConfig,
     ClusterSizes,
-    DiversityConfig,
     Params,
     a_mode_allows,
     build_stirling_table,
@@ -15,6 +14,7 @@ from gnbp import (
     parse_a_mode,
     run_chain,
     sample_cluster_structure,
+    simpson_theta,
     update_a_griddy,
     update_gamma0,
     update_p,
@@ -230,13 +230,12 @@ class TestRunChain:
         for d in run_chain(DATA, cfg):
             assert d.log_ecpf == pytest.approx(ecpf_log(DATA, d.params), abs=1e-12)
 
-    def test_s_theta_computed_when_requested(self):
+    def test_s_theta_on_every_draw(self):
         cfg = ChainConfig(iterations=30, burn_in=20, seed=7, a_grid_step=1e-2,
                           p_grid_step=1e-2)
-        draws = run_chain(DATA, cfg, DiversityConfig())
-        assert all(d.s_theta is not None and 0.0 < d.s_theta < 1.0 for d in draws)
-        plain = run_chain(DATA, cfg)
-        assert all(d.s_theta is None for d in plain)
+        draws = run_chain(DATA, cfg)
+        assert all(d.s_theta == simpson_theta(d.params) for d in draws)
+        assert all(0.0 < d.s_theta < 1.0 for d in draws)
 
     def test_two_chain_stationarity_smoke(self):
         # with the discount pinned to zero both remaining updates are
