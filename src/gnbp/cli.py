@@ -179,6 +179,22 @@ def cmd_estimate(args) -> int:
 # simulate
 
 
+# Draws per sequential_sample call are capped so that a call's uniforms
+# stay at or below 2**19 doubles (4 MB), whatever --count is.
+_GIVEN_N_BLOCK_CELLS = 2**19
+
+
+def _given_n_rows(n, count, params, rtable, rng):
+    """Output rows for ``count`` partitions of [n], sampled in blocks of
+    consecutive draws; the random stream is that of one call for all."""
+    block = max(1, _GIVEN_N_BLOCK_CELLS // n)
+    for start in range(0, count, block):
+        labels = sequential_sample(n, params, rtable, rng, min(block, count - start))
+        for idx, z in enumerate(labels, start):
+            sizes = np.bincount(z)[1:].tolist()
+            yield idx, n, len(sizes), " ".join(map(str, sizes))
+
+
 def cmd_simulate(args) -> int:
     try:
         params = Params(args.gamma0, args.a, args.p)
@@ -188,19 +204,16 @@ def cmd_simulate(args) -> int:
         raise InputError("--count must be nonnegative")
     rng = np.random.default_rng(args.seed)
 
-    rows = []
     if args.given_n is not None:
         if args.given_n < 1:
             raise InputError("--given-n must be positive")
         rtable = build_log_r_table(args.given_n, params, mode="full")
-        for idx in range(args.count):
-            z = sequential_sample(args.given_n, params, rtable, rng)
-            sizes = z.cluster_sizes()
-            rows.append((idx, sizes.n, sizes.l, " ".join(map(str, sizes.sizes))))
+        rows = _given_n_rows(args.given_n, args.count, params, rtable, rng)
     else:
-        for idx in range(args.count):
-            sizes = sample_cluster_structure(params, rng)
-            rows.append((idx, sizes.n, sizes.l, " ".join(map(str, sizes.sizes))))
+        draws = (sample_cluster_structure(params, rng) for _ in range(args.count))
+        rows = (
+            (idx, s.n, s.l, " ".join(map(str, s.sizes))) for idx, s in enumerate(draws)
+        )
 
     out = sys.stdout if args.out is None else Path(args.out).open("w", newline="")
     try:
@@ -312,10 +325,8 @@ def run_validation_checks(level: str = "quick", seed: int = 0) -> list[dict]:
     table = build_stirling_table(n, params.a)
     rt = build_log_r_table(n, params, mode="full")
     exact_l = cluster_count_pmf(n, params, table)
-    freq = np.zeros(n + 1)
-    for _ in range(draws):
-        freq[sequential_sample(n, params, rt, rng).num_clusters] += 1
-    freq /= draws
+    labels = sequential_sample(n, params, rt, rng, draws)
+    freq = np.bincount(labels.max(axis=1), minlength=n + 1) / draws
     checks.append(
         _check(
             "sequential-vs-exact-cluster-count",

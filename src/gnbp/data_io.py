@@ -52,9 +52,18 @@ def _is_integral_number(value) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_frequency_counts(text: str) -> FrequencyCounts:
-    """Parse frequency counts from CSV lines "i,m_i" (optional header) or
-    from a JSON object {"counts": [[i, m_i], ...]}."""
+    """Parse frequency counts from CSV lines "i,m_i" or from a JSON object
+    {"counts": [[i, m_i], ...]}.  A CSV first line is a header, and
+    skipped, only when neither of its fields is a number."""
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty frequency-count input")
@@ -83,7 +92,7 @@ def parse_frequency_counts(text: str) -> FrequencyCounts:
         try:
             i, m = int(fields[0]), int(fields[1])
         except ValueError:
-            if lineno == 1:
+            if lineno == 1 and not any(map(_is_number, fields)):
                 continue  # header row
             raise ValueError(f"line {lineno}: non-integer fields in {line!r}") from None
         entries.append((i, m))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -68,11 +69,29 @@ class ClusterSizes:
     def l(self) -> int:
         return len(self.sizes)
 
+    @cached_property
     def size_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique sizes and their multiplicities, ascending."""
+        """Unique sizes and their multiplicities, ascending; computed once
+        per instance and returned read-only."""
         if not self.sizes:
-            return np.array([], dtype=int), np.array([], dtype=int)
-        return np.unique(np.asarray(self.sizes, dtype=int), return_counts=True)
+            uniq, mult = np.array([], dtype=int), np.array([], dtype=int)
+        else:
+            uniq, mult = np.unique(np.asarray(self.sizes, dtype=int), return_counts=True)
+        uniq.flags.writeable = False
+        mult.flags.writeable = False
+        return uniq, mult
+
+
+def _kappa_limit(a, p):
+    return -np.log1p(-p)
+
+
+def _kappa_negative(a, p):
+    return np.exp(a * (np.log1p(-p) - np.log(p))) * (-np.expm1(-a * np.log1p(-p))) / (-a)
+
+
+def _kappa_positive(a, p):
+    return -np.expm1(a * np.log1p(-p)) * np.exp(-a * np.log(p)) / a
 
 
 def kappa_ap(a, p):
@@ -81,23 +100,32 @@ def kappa_ap(a, p):
     Within ZERO_DISCOUNT_TOL of a = 0 the analytic limit -log(1 - p) is
     substituted.  For very negative discounts the naive form overflows,
     so the a < 0 branch is rearranged as
-    ((1 - p) / p)^a (1 - e^{-a log(1 - p)}) / (-a).
+    ((1 - p) / p)^a (1 - e^{-a log(1 - p)}) / (-a).  A scalar a
+    evaluates only the branch it falls in.
     """
-    a_arr, p_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(p, dtype=float)
-    )
-    u = a_arr * np.log1p(-p_arr)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        neg = (
-            np.exp(a_arr * (np.log1p(-p_arr) - np.log(p_arr)))
-            * (-np.expm1(-u))
-            / (-a_arr)
-        )
-        nonneg = -np.expm1(u) * np.exp(-a_arr * np.log(p_arr)) / a_arr
-        limit = -np.log1p(-p_arr)
-    out = np.where(
-        np.abs(a_arr) < ZERO_DISCOUNT_TOL, limit, np.where(a_arr < 0.0, neg, nonneg)
-    )
+        if np.ndim(a) == 0:
+            a = float(a)
+            if abs(a) < ZERO_DISCOUNT_TOL:
+                branch = _kappa_limit
+            elif a < 0.0:
+                branch = _kappa_negative
+            else:
+                branch = _kappa_positive
+            out = np.asarray(branch(a, np.asarray(p, dtype=float)))
+        else:
+            a_arr, p_arr = np.broadcast_arrays(
+                np.asarray(a, dtype=float), np.asarray(p, dtype=float)
+            )
+            out = np.where(
+                np.abs(a_arr) < ZERO_DISCOUNT_TOL,
+                _kappa_limit(a_arr, p_arr),
+                np.where(
+                    a_arr < 0.0,
+                    _kappa_negative(a_arr, p_arr),
+                    _kappa_positive(a_arr, p_arr),
+                ),
+            )
     if out.ndim == 0:
         return float(out)
     return out

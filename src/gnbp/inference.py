@@ -135,7 +135,7 @@ def _discount_data_term(sizes: ClusterSizes, a_values: np.ndarray) -> np.ndarray
     """sum_k [lgamma(n_k - a) - lgamma(1 - a)] over grid values, with size
     multiplicities so ties cost one lgamma each."""
     term = -sizes.l * gammaln(1.0 - a_values)
-    uniq, mult = sizes.size_multiplicities()
+    uniq, mult = sizes.size_multiplicities
     for s, m in zip(uniq, mult):
         term += m * gammaln(s - a_values)
     return term
@@ -204,24 +204,35 @@ def update_a_griddy(
     return _grid_draw(a_values, logw, rng)
 
 
+def _p_grid(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The p grid and its logarithm."""
+    m = int(round(1.0 / config.p_grid_step))
+    p_values = np.arange(1, m, dtype=float) * config.p_grid_step
+    return p_values, np.log(p_values)
+
+
 def update_p(
-    sizes: ClusterSizes, params: Params, config: ChainConfig, rng: np.random.Generator
+    sizes: ClusterSizes,
+    params: Params,
+    config: ChainConfig,
+    rng: np.random.Generator,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Draw of the probability parameter.
 
     At |a| below the zero-discount tolerance the conditional is conjugate,
     Beta(1 + n, 1 + gamma0); otherwise griddy Gibbs over the p grid with
     log weights -gamma0 kappa(a, p) + (n - a l) log p.
+
+    ``grid`` is the chain's cached (p values, log p values) pair; it is
+    built here when not given.
     """
     a = params.a
     if abs(a) < ZERO_DISCOUNT_TOL:
         return float(rng.beta(1.0 + sizes.n, 1.0 + params.gamma0))
-    m = int(round(1.0 / config.p_grid_step))
-    p_values = np.arange(1, m, dtype=float) * config.p_grid_step
+    p_values, log_p = _p_grid(config) if grid is None else grid
     with np.errstate(over="ignore", invalid="ignore"):
-        logw = -params.gamma0 * kappa_ap(a, p_values) + (
-            sizes.n - a * sizes.l
-        ) * np.log(p_values)
+        logw = -params.gamma0 * kappa_ap(a, p_values) + (sizes.n - a * sizes.l) * log_p
     return _grid_draw(p_values, logw, rng)
 
 
@@ -254,11 +265,12 @@ def run_chain(sizes: ClusterSizes, config: ChainConfig) -> list[PosteriorDraw]:
     params = _initial_params(sizes, config)
     fixed = parse_a_mode(config.a_mode)[0] == "fixed"
     grid = None if fixed else _discount_grid(sizes, config)
+    p_grid = _p_grid(config)
     draws: list[PosteriorDraw] = []
     for t in range(1, config.iterations + 1):
         params = replace(params, gamma0=update_gamma0(sizes, params, config, rng))
         params = replace(params, a=update_a_griddy(sizes, params, config, rng, grid))
-        params = replace(params, p=update_p(sizes, params, config, rng))
+        params = replace(params, p=update_p(sizes, params, config, rng, p_grid))
         if t <= config.burn_in or (t - config.burn_in) % config.thin != 0:
             continue
         assert a_mode_allows(config.a_mode, params.a)

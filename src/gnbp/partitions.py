@@ -116,7 +116,7 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 def _log_size_product(sizes: ClusterSizes, a: float) -> float:
     """log prod_k Gamma(n_k - a) / Gamma(1 - a), grouped by distinct size."""
-    uniq, mult = sizes.size_multiplicities()
+    uniq, mult = sizes.size_multiplicities
     return float(
         sum(m * log_gamma_ratio(int(s), a) for s, m in zip(uniq, mult))
     )
@@ -250,38 +250,62 @@ def sequential_step_probs(
 
 
 def sequential_sample(
-    n: int, params: Params, rtable: LogRTable, rng: np.random.Generator
-) -> Assignments:
-    """Exact draw of a partition of [n] from the size-conditioned law by
-    sequential allocation; requires a full table for this (n, params)."""
+    n: int, params: Params, rtable: LogRTable, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """``size`` exact draws of a partition of [n] from the size-conditioned
+    law by sequential allocation; requires a full table for this
+    (n, params).
+
+    Returns int32 canonical labels of shape (size, n), one draw per row.
+    The draws advance in lockstep through elements i = 1..n-1.  At step i
+    a draw with l clusters and counts n_k takes
+    r_keep = exp(log R(i+1, l) - log R(i, l)), forms the running sums of
+    (n_k - a) r_keep over its clusters k = 1..l, and joins the first
+    cluster whose running sum exceeds its uniform u; when none does it
+    opens cluster l + 1, whose mass is the remainder.  The uniforms are
+    one ``rng.random((size, n - 1))`` block, so draw d uses row d, and
+    the stream equals ``size`` consecutive single draws.  r_keep comes
+    from ``math.exp``, not from numpy's vectorized exp, which can differ
+    from it in the last bit; so every comparison is the one a per-draw
+    loop makes, and the draws match it bit for bit.
+    """
     _check_table(rtable, n, params)
     for i in range(1, n):
         if not rtable.has_row(i):
             raise ValueError("sequential sampling needs every row; build mode='full'")
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
     a = params.a
-    new_base = params.gamma0 * params.p ** (-a)
-    labels = [1]
-    counts = [1]
+    uniforms = rng.random((size, n - 1))
+    labels = np.ones((size, n), dtype=np.int32)
+    if size == 0:
+        return labels
+    # Row k of counts and weights is cluster k + 1 of every draw, so a
+    # step reads only the first max(l) rows and the zero rows beyond stay
+    # untouched.  weights holds n_k - a on opened clusters, 0 elsewhere.
+    counts = np.zeros((n, size), dtype=np.int32)
+    counts[0] = 1
+    weights = np.zeros((n, size))
+    weights[0] = 1 - a
+    l = np.ones(size, dtype=np.intp)
+    draw = np.arange(size)
+    cur = rtable.rows.get(1)
     for i in range(1, n):
-        l = len(counts)
-        base = rtable.entry(i, l)
-        r_keep = math.exp(rtable.entry(i + 1, l) - base)
-        u = rng.random()
-        acc = 0.0
-        chosen = -1
-        for k in range(l):
-            acc += (counts[k] - a) * r_keep
-            if u < acc:
-                chosen = k
-                break
-        if chosen >= 0:
-            counts[chosen] += 1
-            labels.append(chosen + 1)
-        else:
-            # Remaining mass is the new-cluster branch, up to rounding.
-            counts.append(1)
-            labels.append(l + 1)
-    return Assignments(tuple(labels))
+        nxt = rtable.rows[i + 1] if i + 1 < n else np.zeros(n)
+        lo, hi = int(l.min()), int(l.max())
+        log_ratio = (nxt[lo - 1 : hi] - cur[lo - 1 : hi]).tolist()
+        r_keep = np.array([math.exp(d) for d in log_ratio])[l - lo]
+        cum = np.cumsum(weights[:hi] * r_keep, axis=0)
+        hit = uniforms[:, i - 1] < cum
+        first = hit.argmax(axis=0)
+        joined = hit[first, draw]
+        chosen = np.where(joined, first, l)
+        counts[chosen, draw] += 1
+        weights[chosen, draw] = counts[chosen, draw] - a
+        l += ~joined
+        labels[:, i] = chosen + 1
+        cur = nxt
+    return labels
 
 
 def gibbs_sweep(

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from gnbp import Params, gamma_ratio_signed, kappa
+from gnbp import LogRTable, Params, gamma_ratio_signed, kappa
 
 
 def signed_log_sum(signs, logs) -> tuple[int, float]:
@@ -178,10 +178,13 @@ def simpson_theta_series(params: Params, rel_tail: float = 1e-11,
     below 600.
     """
     g0, a, p = params.gamma0, params.a, params.p
-    if a == 0.0:
-        kap = -math.log1p(-p)
+    x = a * math.log1p(-p)
+    if abs(x) < 1e-6:
+        # -expm1(x) / a by its series, which stays accurate when a and x
+        # are subnormal and the quotient would lose most of its digits
+        kap = -math.log1p(-p) * (1.0 + x / 2.0 + x * x / 6.0) * math.exp(-a * math.log(p))
     else:
-        kap = -math.expm1(a * math.log1p(-p)) / a * math.exp(-a * math.log(p))
+        kap = -math.expm1(x) / a * math.exp(-a * math.log(p))
     lam = g0 * kap
     if not lam < 600.0:
         raise ValueError(f"lam = {lam} is too large for the scaled recursion")
@@ -216,6 +219,38 @@ def simpson_theta_series(params: Params, rel_tail: float = 1e-11,
         ):
             return distinct / mass, same / mass
     raise RuntimeError(f"series did not reach its tail within n = {n_max}")
+
+
+def sequential_sample_reference(
+    n: int, params: Params, rtable: LogRTable, rng: np.random.Generator
+) -> tuple[int, ...]:
+    """One draw of the sequential allocation rule, element by element:
+    the per-draw loop the lockstep sampler must reproduce bit for bit.
+    Element i + 1 joins the first cluster k whose running sum of
+    (n_j - a) R(i+1, l) / R(i, l) over j <= k exceeds one scalar uniform,
+    or else opens a new cluster."""
+    a = params.a
+    labels = [1]
+    counts = [1]
+    for i in range(1, n):
+        l = len(counts)
+        base = rtable.entry(i, l)
+        r_keep = math.exp(rtable.entry(i + 1, l) - base)
+        u = rng.random()
+        acc = 0.0
+        chosen = -1
+        for k in range(l):
+            acc += (counts[k] - a) * r_keep
+            if u < acc:
+                chosen = k
+                break
+        if chosen >= 0:
+            counts[chosen] += 1
+            labels.append(chosen + 1)
+        else:
+            counts.append(1)
+            labels.append(l + 1)
+    return tuple(labels)
 
 
 def tv_distance_counts(emp: dict[int, int], total: int, exact: np.ndarray) -> float:

@@ -161,9 +161,8 @@ def test_criterion_05_sampler_correctness():
     exact_l = cluster_count_pmf(n, params, table)
     rng = np.random.default_rng(2024_05)
     draws = 100_000
-    freq = np.zeros(n + 1)
-    for _ in range(draws):
-        freq[sequential_sample(n, params, rt, rng).num_clusters] += 1
+    labels = sequential_sample(n, params, rt, rng, draws)
+    freq = np.bincount(labels.max(axis=1), minlength=n + 1)
     tv_seq = tv_distance_vectors(freq / draws, exact_l)
 
     params4 = Params(2.0, 0.5, 0.3)

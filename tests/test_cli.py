@@ -118,6 +118,14 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_integral_first_csv_row_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("1,3.7\n2,1\n")
+        code = run_cli(["estimate", "--input", str(data), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     # Both inputs below ran past 120 s while the diversity index was a
     # series over n; at 50 retained draws each now takes well under 1 s.
     def _check_bounded_cost(self, tmp_path, source):
@@ -193,6 +201,16 @@ class TestSimulate:
         with out.open() as fh:
             rows = list(csv.reader(fh))[1:]
         assert all(int(r[1]) == 10 for r in rows)
+
+    def test_given_n_output_independent_of_blocks(self, tmp_path, monkeypatch):
+        # 45 draws of n = 10 in one call, then in blocks of 4 draws
+        args = ["simulate", "--gamma0", "1", "--a", "0.5", "--p", "0.5",
+                "--count", "45", "--seed", "9", "--given-n", "10", "--out"]
+        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+        assert run_cli(args + [str(whole)]) == 0
+        monkeypatch.setattr(gnbp.cli, "_GIVEN_N_BLOCK_CELLS", 40)
+        assert run_cli(args + [str(split)]) == 0
+        assert whole.read_bytes() == split.read_bytes()
 
     def test_count_zero_emits_header_only(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -24,6 +24,14 @@ class TestParse:
         fc = parse_frequency_counts("multiplicity,count\n1,2\n2,1\n3,2")
         assert fc.n == 10 and fc.l == 5
 
+    def test_non_integral_first_row_rejected(self):
+        # a first line with a number in it is data, never a header
+        with pytest.raises(ValueError, match="line 1"):
+            parse_frequency_counts("1,3.7\n2,1\n")
+        with pytest.raises(ValueError, match="line 1"):
+            parse_frequency_counts("size,3\n2,1\n")
+        assert parse_frequency_counts("size,count\n2,1\n").entries == ((2, 1),)
+
     def test_json(self):
         fc = parse_frequency_counts('{"counts": [[1, 2], [2, 1], [3, 2]]}')
         assert fc.n == 10 and fc.l == 5

@@ -16,6 +16,7 @@ from gnbp import (
     tnb_log_pmf,
     tnb_sample,
 )
+from gnbp.distributions import kappa_ap
 
 from oracles import (
     collect_counts,
@@ -52,6 +53,14 @@ class TestClusterSizes:
         with pytest.raises(ValueError):
             ClusterSizes((1, 0))
 
+    def test_size_multiplicities_cached_read_only(self):
+        s = ClusterSizes((3, 1, 3, 2, 3))
+        uniq, mult = s.size_multiplicities
+        assert uniq.tolist() == [1, 2, 3] and mult.tolist() == [1, 1, 3]
+        assert s.size_multiplicities is s.size_multiplicities
+        assert not uniq.flags.writeable and not mult.flags.writeable
+        assert [x.tolist() for x in ClusterSizes(()).size_multiplicities] == [[], []]
+
 
 class TestKappa:
     def test_zero_discount_limit(self):
@@ -80,6 +89,15 @@ class TestKappa:
             assert val >= 0.0
             assert not math.isnan(val)
         assert kappa(Params(1, -50.0, 0.5)) > 0.0
+
+    @pytest.mark.parametrize("a", [0.3, 0.0, 1e-9, -1e-9, -1.0, -50.0, -9998.0])
+    def test_scalar_discount_branch_matches_elementwise_choice(self, a):
+        # a scalar a takes only its own branch; an array of copies of a
+        # takes the elementwise choice among all three
+        p = np.arange(1, 1000) * 1e-3
+        assert np.array_equal(
+            kappa_ap(a, p), kappa_ap(np.full_like(p, a), p), equal_nan=True
+        )
 
 
 class TestGnbLogPmf:

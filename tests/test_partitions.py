@@ -28,7 +28,7 @@ from gnbp import (
     subset_marginal_log,
 )
 
-from oracles import BELL, tv_distance_vectors
+from oracles import BELL, sequential_sample_reference, tv_distance_vectors
 
 THETA = Params(1.0, 0.5, 0.5)
 
@@ -227,21 +227,45 @@ class TestSequentialSampler:
         rt = build_log_r_table(n, THETA, mode="full")
         exact = cluster_count_pmf(n, THETA, table)
         rng = np.random.default_rng(31)
-        freq = np.zeros(n + 1)
         draws = 30_000
-        for _ in range(draws):
-            freq[sequential_sample(n, THETA, rt, rng).num_clusters] += 1
+        labels = sequential_sample(n, THETA, rt, rng, draws)
+        freq = np.bincount(labels.max(axis=1), minlength=n + 1)
         assert tv_distance_vectors(freq / draws, exact) < 0.02
+
+    @pytest.mark.parametrize(
+        "n, params, size, seed",
+        [
+            (12, Params(1.0, 0.0, 0.5), 400, 61),
+            (12, Params(1.0, 0.5, 0.5), 400, 62),
+            (12, Params(1.0, -1.0, 0.5), 400, 63),
+            (300, Params(50.0, 0.9, 0.5), 20, 64),
+            (12, Params(1.0, 0.5, 0.5), 0, 65),
+            (1, Params(1.0, 0.5, 0.5), 5, 66),
+        ],
+    )
+    def test_matches_per_draw_reference(self, n, params, size, seed):
+        rt = build_log_r_table(n, params, mode="full")
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [sequential_sample_reference(n, params, rt, rng_ref) for _ in range(size)]
+        got = sequential_sample(n, params, rt, rng, size)
+        assert got.dtype == np.int32 and got.shape == (size, n)
+        assert np.array_equal(got, np.array(expected, dtype=np.int32).reshape(size, n))
+        assert rng.random() == rng_ref.random()  # the same uniforms were used
+
+    def test_rejects_negative_size(self):
+        rt = build_log_r_table(10, THETA, mode="full")
+        with pytest.raises(ValueError):
+            sequential_sample(10, THETA, rt, np.random.default_rng(0), -1)
 
     def test_rejects_frontier_table(self):
         rt = build_log_r_table(10, THETA, mode="frontier", i_min=2)
         with pytest.raises(ValueError):
-            sequential_sample(10, THETA, rt, np.random.default_rng(0))
+            sequential_sample(10, THETA, rt, np.random.default_rng(0), 1)
 
     def test_rejects_mismatched_table(self):
         rt = build_log_r_table(10, THETA, mode="full")
         with pytest.raises(ValueError):
-            sequential_sample(9, THETA, rt, np.random.default_rng(0))
+            sequential_sample(9, THETA, rt, np.random.default_rng(0), 1)
 
 
 class TestGibbsSweep:
@@ -288,10 +312,8 @@ class TestGibbsSweep:
         n = 4
         rng = np.random.default_rng(47)
         rt = build_log_r_table(n, params, mode="full")
-        seq_counts = Counter()
         draws = 100_000
-        for _ in range(draws):
-            seq_counts[sequential_sample(n, params, rt, rng).labels] += 1
+        seq_counts = Counter(map(tuple, sequential_sample(n, params, rt, rng, draws).tolist()))
         gibbs_counts = Counter()
         z = Assignments((1, 1, 1, 1))
         burn, keep = 1_000, 100_000
@@ -392,11 +414,9 @@ class TestSubsetClusterCountPmf:
         rt = build_log_r_table(n, THETA, mode="full")
         exact = subset_cluster_count_pmf(i, n, THETA, table, rt)
         rng = np.random.default_rng(53)
-        freq = np.zeros(i + 1)
         draws = 30_000
-        for _ in range(draws):
-            z = sequential_sample(n, THETA, rt, rng)
-            freq[z.prefix(i).num_clusters] += 1
+        labels = sequential_sample(n, THETA, rt, rng, draws)
+        freq = np.bincount(labels[:, :i].max(axis=1), minlength=i + 1)
         assert tv_distance_vectors(freq / draws, exact) < 0.02
 
 
