@@ -11,16 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-
-from scipy.special import gammaln
 
 from .core_math import build_stirling_table
 from .data_io import (
@@ -182,6 +180,9 @@ def cmd_estimate(args) -> int:
 # Draws per sequential_sample call are capped so that a call's uniforms
 # stay at or below 2**19 doubles (4 MB), whatever --count is.
 _GIVEN_N_BLOCK_CELLS = 2**19
+# The full R table that --given-n needs holds n (n - 1) / 2 doubles; this
+# caps it at 1 GiB, i.e. n <= 16,384.
+_GIVEN_N_MAX_TABLE_CELLS = 2**27
 
 
 def _given_n_rows(n, count, params, rtable, rng):
@@ -207,6 +208,12 @@ def cmd_simulate(args) -> int:
     if args.given_n is not None:
         if args.given_n < 1:
             raise InputError("--given-n must be positive")
+        cells = args.given_n * (args.given_n - 1) // 2
+        if cells > _GIVEN_N_MAX_TABLE_CELLS:
+            raise InputError(
+                f"--given-n {args.given_n} needs an R table of {cells} cells, "
+                f"more than the {_GIVEN_N_MAX_TABLE_CELLS} (1 GiB) allowed"
+            )
         rtable = build_log_r_table(args.given_n, params, mode="full")
         rows = _given_n_rows(args.given_n, args.count, params, rtable, rng)
     else:
@@ -301,7 +308,9 @@ def run_validation_checks(level: str = "quick", seed: int = 0) -> list[dict]:
     worst = 0.0
     for m in range(0, 51):
         nb = (
-            float(gammaln(m + params0.gamma0) - gammaln(params0.gamma0) - gammaln(m + 1))
+            math.lgamma(m + params0.gamma0)
+            - math.lgamma(params0.gamma0)
+            - math.lgamma(m + 1)
             + m * math.log(params0.p)
             + params0.gamma0 * math.log1p(-params0.p)
         )
@@ -376,8 +385,15 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _table1_population(fc_entries: tuple[tuple[int, int], ...]) -> Assignments:
+    # one expansion per process, shared by every (replicate, mode) task;
+    # Assignments is immutable, so sharing it is safe
+    return to_assignments(FrequencyCounts(fc_entries))
+
+
 def _table1_task(payload: dict) -> dict:
-    population = to_assignments(FrequencyCounts(payload["fc_entries"]))
+    population = _table1_population(payload["fc_entries"])
     sub_rng = np.random.default_rng(
         np.random.SeedSequence([payload["seed"], payload["replicate"]])
     )
@@ -457,6 +473,8 @@ def run_table1_study(
         for mode_idx, mode in enumerate(modes)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             detail = list(pool.map(_table1_task, payloads))
     else:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core_math import LogStirlingTable, log_gamma_ratio, log_sum_exp
 
@@ -61,7 +60,7 @@ class ClusterSizes:
         if any(s < 1 for s in sizes):
             raise ValueError("cluster sizes must be positive integers")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.sizes)
 
@@ -181,7 +180,7 @@ def gnb_log_pmf(n: int, params: Params, stirling: LogStirlingTable) -> float:
         raise ValueError(f"count must be nonnegative, got {n}")
     return (
         n * math.log(params.p)
-        - float(gammaln(n + 1))
+        - math.lgamma(n + 1)
         - params.gamma0 * kappa(params)
         + log_weighted_stirling_sum(n, params, stirling)
     )
@@ -210,18 +209,10 @@ def tnb_log_pmf(u: int, a: float, p: float) -> float:
         return u * math.log(p) - math.log(u) - math.log(-math.log1p(-p))
     return (
         log_gamma_ratio(u, a)
-        - float(gammaln(u + 1))
+        - math.lgamma(u + 1)
         + (u - a) * math.log(p)
         - math.log(_kappa_scalar(a, p))
     )
-
-
-def _tnb_log_p1(a: float, p: float) -> float:
-    # tnb_log_pmf(1, a, p) with the u = 1 simplifications applied; the
-    # sampler calls this once per draw
-    if abs(a) < ZERO_DISCOUNT_TOL:
-        return math.log(p) - math.log(-math.log1p(-p))
-    return (1.0 - a) * math.log(p) - math.log(_kappa_scalar(a, p))
 
 
 def tnb_sample(a: float, p: float, rng: np.random.Generator) -> int:
@@ -236,7 +227,7 @@ def tnb_sample(a: float, p: float, rng: np.random.Generator) -> int:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     u = 1
-    pmf = math.exp(_tnb_log_p1(a, p))
+    pmf = math.exp(tnb_log_pmf(1, a, p))
     target = rng.random()
     acc = pmf
     while target > acc:

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core_math import log_sum_exp
+from .core_math import log_gamma, log_sum_exp
 # Unused here, but perfbench/tracing.py wraps this name in this module.
 from .core_math import build_stirling_table  # noqa: F401
 from .distributions import (
@@ -134,10 +133,10 @@ def _a_grid(step: float) -> np.ndarray:
 def _discount_data_term(sizes: ClusterSizes, a_values: np.ndarray) -> np.ndarray:
     """sum_k [lgamma(n_k - a) - lgamma(1 - a)] over grid values, with size
     multiplicities so ties cost one lgamma each."""
-    term = -sizes.l * gammaln(1.0 - a_values)
+    term = -sizes.l * log_gamma(1.0 - a_values)
     uniq, mult = sizes.size_multiplicities
     for s, m in zip(uniq, mult):
-        term += m * gammaln(s - a_values)
+        term += m * log_gamma(s - a_values)
     return term
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core_math import LogStirlingTable, log_gamma_ratio
 from .distributions import ClusterSizes, Params, kappa, log_weighted_stirling_sum
@@ -133,7 +132,7 @@ def ecpf_log(sizes: ClusterSizes, params: Params) -> float:
     """
     n, l = sizes.n, sizes.l
     return (
-        -float(gammaln(n + 1))
+        -math.lgamma(n + 1)
         - params.gamma0 * kappa(params)
         + l * math.log(params.gamma0)
         + (n - params.a * l) * math.log(params.p)

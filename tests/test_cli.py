@@ -174,6 +174,36 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_commands_never_load_scipy(tmp_path):
+    # numpy and the standard library are the only runtime imports
+    src = str(Path(gnbp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"""
+import io, sys, contextlib
+import gnbp.cli
+out = {str(tmp_path)!r}
+commands = [
+    ["estimate", "--dataset", "tcr-treg-diabetic-1", "--iterations", "20",
+     "--burn-in", "10", "--a-grid-step", "0.01", "--out", out],
+    ["reproduce-table1", "--replicates", "1", "--size", "20", "--iterations", "20",
+     "--burn-in", "10", "--workers", "1", "--out", out],
+    ["simulate", "--gamma0", "1", "--a", "0.5", "--p", "0.5", "--given-n", "30",
+     "--count", "5", "--out", out + "/sim.csv"],
+    ["validate", "--level", "quick"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [gnbp.cli.main(c) for c in commands]
+assert codes == [0, 0, 0, 0], codes
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit("loaded: " + " ".join(loaded))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSimulate:
     def test_marginal_sampler_csv(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -211,6 +241,26 @@ class TestSimulate:
         monkeypatch.setattr(gnbp.cli, "_GIVEN_N_BLOCK_CELLS", 40)
         assert run_cli(args + [str(split)]) == 0
         assert whole.read_bytes() == split.read_bytes()
+
+    def test_given_n_above_table_limit_exits_2(self, tmp_path, monkeypatch, capsys):
+        # 16,385 * 16,384 / 2 cells exceeds 2**27; the table must never be built
+        built = []
+
+        def fake_build(n, params, mode="full", i_min=1):
+            built.append(n)
+            raise AssertionError("R table built")
+
+        monkeypatch.setattr(gnbp.cli, "build_log_r_table", fake_build)
+        args = ["simulate", "--gamma0", "1", "--a", "0.5", "--p", "0.5",
+                "--count", "1", "--out", str(tmp_path / "x.csv"), "--given-n"]
+        assert run_cli(args + ["16385"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --given-n 16385") and err.count("\n") == 1
+        assert built == []
+        # n = 16,384 fits the limit and reaches the table build
+        with pytest.raises(AssertionError, match="R table built"):
+            run_cli(args + ["16384"])
+        assert built == [16384]
 
     def test_count_zero_emits_header_only(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -301,6 +351,24 @@ class TestReproduceTable1:
         seq, agg_seq = run_table1_study(workers=1, **kwargs)
         par, agg_par = run_table1_study(workers=2, **kwargs)
         assert seq == par and agg_seq == agg_par
+
+    def test_population_built_once(self, monkeypatch):
+        calls = []
+        real = gnbp.cli.to_assignments
+
+        def counting(fc):
+            calls.append(fc)
+            return real(fc)
+
+        monkeypatch.setattr(gnbp.cli, "to_assignments", counting)
+        gnbp.cli._table1_population.cache_clear()
+        run_table1_study(
+            replicates=2, size=20, modes=("fixed=-1", "free"), seed=3,
+            iterations=10, burn_in=5, thin=1,
+            a_grid_step=5e-3, p_grid_step=1e-2,
+        )
+        gnbp.cli._table1_population.cache_clear()
+        assert len(calls) == 1
 
     def test_bad_modes_exit_2(self, tmp_path):
         code = run_cli(

@@ -10,7 +10,7 @@ from gnbp import (
     log_gamma_ratio,
     log_sum_exp,
 )
-from gnbp.core_math import _log_gamma_ratio_lgamma, _log_gamma_ratio_sum
+from gnbp.core_math import _log_gamma_ratio_lgamma, _log_gamma_ratio_sum, log_gamma
 
 from oracles import stirling_by_composition_sum, stirling_by_cycle_count
 
@@ -36,6 +36,27 @@ class TestLogSumExp:
 
     def test_large_shift(self):
         assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2))
+
+
+class TestLogGamma:
+    # geometric grid over [1e-8, 1e8] plus dense points around the zeros at 1 and 2
+    X = np.concatenate(
+        [
+            np.geomspace(1e-8, 1e8, 4001),
+            1.0 + np.linspace(-0.25, 0.25, 1001),
+            2.0 + np.linspace(-0.25, 0.25, 1001),
+        ]
+    )
+
+    def _assert_close(self, got, want):
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert float(np.max(err)) <= 1e-14
+
+    def test_matches_scipy_gammaln(self):
+        self._assert_close(log_gamma(self.X), gammaln(self.X))
+
+    def test_matches_math_lgamma(self):
+        self._assert_close(log_gamma(self.X), np.array([math.lgamma(x) for x in self.X]))
 
 
 class TestLogGammaRatio:

@@ -53,6 +53,12 @@ class TestClusterSizes:
         with pytest.raises(ValueError):
             ClusterSizes((1, 0))
 
+    def test_n_cached(self):
+        s = ClusterSizes((3, 1, 3, 2, 3))
+        assert "n" not in vars(s)
+        assert s.n == 12
+        assert vars(s)["n"] == 12
+
     def test_size_multiplicities_cached_read_only(self):
         s = ClusterSizes((3, 1, 3, 2, 3))
         uniq, mult = s.size_multiplicities
