@@ -10,7 +10,6 @@ of diversity from species frequency-count data.
 from .core_math import (
     LogStirlingTable,
     build_stirling_table,
-    gamma_ratio_signed,
     log_gamma_ratio,
     log_sum_exp,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "ecpf_log",
     "enumerate_set_partitions",
     "format_frequency_counts",
-    "gamma_ratio_signed",
     "gcrsf_log_eppf",
     "gibbs_sweep",
     "gnb_log_pmf",

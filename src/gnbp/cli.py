@@ -33,6 +33,7 @@ from .distributions import (
     ClusterSizes,
     Params,
     gnb_log_pmf,
+    kappa,
     log_weighted_stirling_sum,
     sample_cluster_structure,
 )
@@ -60,8 +61,13 @@ EXIT_INPUT_ERROR = 2
 DEFAULT_TABLE1_TARGET = 0.9993
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad user input: missing file, malformed data, invalid parameters."""
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise InputError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +189,9 @@ _GIVEN_N_BLOCK_CELLS = 2**19
 # The full R table that --given-n needs holds n (n - 1) / 2 doubles; this
 # caps it at 1 GiB, i.e. n <= 16,384.
 _GIVEN_N_MAX_TABLE_CELLS = 2**27
+# A marginal draw has Poisson(gamma0 kappa) clusters, each a Python-level
+# size draw; this caps the expected count per draw.
+_MAX_EXPECTED_CLUSTERS = 2**20
 
 
 def _given_n_rows(n, count, params, rtable, rng):
@@ -203,6 +212,7 @@ def cmd_simulate(args) -> int:
         raise InputError(str(exc)) from exc
     if args.count < 0:
         raise InputError("--count must be nonnegative")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
 
     if args.given_n is not None:
@@ -217,6 +227,12 @@ def cmd_simulate(args) -> int:
         rtable = build_log_r_table(args.given_n, params, mode="full")
         rows = _given_n_rows(args.given_n, args.count, params, rtable, rng)
     else:
+        rate = params.gamma0 * kappa(params)
+        if not rate <= _MAX_EXPECTED_CLUSTERS:
+            raise InputError(
+                f"gamma0 * kappa = {rate:.6g} expected clusters per draw, "
+                f"more than the {_MAX_EXPECTED_CLUSTERS} allowed"
+            )
         draws = (sample_cluster_structure(params, rng) for _ in range(args.count))
         rows = (
             (idx, s.n, s.l, " ".join(map(str, s.sizes))) for idx, s in enumerate(draws)
@@ -366,6 +382,7 @@ def run_validation_checks(level: str = "quick", seed: int = 0) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
+    _check_seed(args.seed)
     checks = run_validation_checks(level=args.level, seed=args.seed)
     failed = 0
     for c in checks:
@@ -394,26 +411,19 @@ def _table1_population(fc_entries: tuple[tuple[int, int], ...]) -> Assignments:
 
 def _table1_task(payload: dict) -> dict:
     population = _table1_population(payload["fc_entries"])
-    sub_rng = np.random.default_rng(
-        np.random.SeedSequence([payload["seed"], payload["replicate"]])
-    )
+    config, replicate = payload["config"], payload["replicate"]
+    sub_rng = np.random.default_rng(np.random.SeedSequence([config.seed, replicate]))
     sub = subsample_without_replacement(population, payload["size"], sub_rng)
     sizes = sub.cluster_sizes()
-    cfg = ChainConfig(
-        iterations=payload["iterations"],
-        burn_in=payload["burn_in"],
-        thin=payload["thin"],
-        seed=_derived_seed(payload["seed"], payload["replicate"], payload["mode_idx"]),
-        a_mode=payload["mode"],
-        a_grid_step=payload["a_grid_step"],
-        p_grid_step=payload["p_grid_step"],
+    cfg = dataclasses.replace(
+        config, seed=_derived_seed(config.seed, replicate, payload["mode_idx"])
     )
     draws = run_chain(sizes, cfg)
     summ = summarize(d.s_theta for d in draws)
     target = payload["target"]
     return {
-        "replicate": payload["replicate"],
-        "mode": payload["mode"],
+        "replicate": replicate,
+        "mode": config.a_mode,
         "n": sizes.n,
         "l": sizes.l,
         "mean": summ.mean,
@@ -449,28 +459,43 @@ def run_table1_study(
     the posterior diversity summaries are compared against the target
     value.  Returns (per-replicate rows, per-mode aggregate rows).
     Replicate/mode pairs run independently, each with its own stream
-    derived from (seed, replicate, mode index).
+    derived from (seed, replicate, mode index).  Every argument is checked
+    before any chain runs; a bad one raises InputError, a ValueError.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
     fc = bundled_datasets()["est-tomato"]
+    try:
+        if replicates < 1:
+            raise ValueError("replicates must be positive")
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        if not 1 <= size <= fc.n:
+            raise ValueError(f"size must lie in [1, {fc.n}], got {size}")
+        if not modes:
+            raise ValueError("modes must name at least one discount mode")
+        if not 0.0 <= target <= 1.0:
+            raise ValueError(f"target must lie in [0, 1], got {target}")
+        config = ChainConfig(
+            iterations=iterations,
+            burn_in=burn_in,
+            thin=thin,
+            seed=seed,
+            a_grid_step=a_grid_step,
+            p_grid_step=p_grid_step,
+        )
+        configs = [dataclasses.replace(config, a_mode=mode) for mode in modes]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     payloads = [
         {
             "fc_entries": fc.entries,
             "replicate": rep,
-            "mode": mode,
             "mode_idx": mode_idx,
-            "seed": seed,
+            "config": mode_config,
             "size": size,
-            "iterations": iterations,
-            "burn_in": burn_in,
-            "thin": thin,
-            "a_grid_step": a_grid_step,
-            "p_grid_step": p_grid_step,
             "target": target,
         }
         for rep in range(replicates)
-        for mode_idx, mode in enumerate(modes)
+        for mode_idx, mode_config in enumerate(configs)
     ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -504,11 +529,7 @@ def _write_dict_csv(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_reproduce_table1(args) -> int:
-    if args.replicates < 1:
-        raise InputError("--replicates must be positive")
     modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
-    if not modes:
-        raise InputError("--modes must name at least one discount mode")
     detail, aggregate = run_table1_study(
         replicates=args.replicates,
         size=args.size,

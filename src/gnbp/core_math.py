@@ -14,10 +14,6 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-# Below this n the gamma-ratio log is accumulated as an explicit sum of
-# logs (exact to rounding); above it the lgamma difference is cheaper.
-_RATIO_SUM_CUTOFF = 64
-
 # log_gamma shifts its argument up by this much before the Stirling series.
 _LOG_GAMMA_SHIFT = 8
 # B_2k / (2k (2k - 1)) for k = 1..7, the Stirling series coefficients.
@@ -62,50 +58,18 @@ def log_gamma(x) -> np.ndarray:
     return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series / z - np.log(shift)
 
 
-def _log_gamma_ratio_sum(n: int, a: float) -> float:
-    if n == 1:
-        return 0.0
-    return float(np.sum(np.log(np.arange(1, n, dtype=float) - a)))
-
-
-def _log_gamma_ratio_lgamma(n: int, a: float) -> float:
-    return math.lgamma(n - a) - math.lgamma(1.0 - a)
-
-
 def log_gamma_ratio(n: int, a: float) -> float:
-    """log(Gamma(n - a) / Gamma(1 - a)) for integer n >= 1 and a < 1.
+    """log(Gamma(n - a) / Gamma(1 - a)) for integer n >= 1 and a < 1, as
+    lgamma(n - a) - lgamma(1 - a).
 
-    Equals sum_{i=1}^{n-1} log(i - a); every factor is positive since
-    a < 1.  Small n uses the explicit sum, large n the lgamma difference.
+    Both arguments are at least 1 - a > 0, so both terms are finite and
+    the ratio never passes through a pole; n = 1 gives exactly 0.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if a >= 1.0:
         raise ValueError(f"discount must satisfy a < 1, got {a}")
-    if n <= _RATIO_SUM_CUTOFF:
-        return _log_gamma_ratio_sum(n, a)
-    return _log_gamma_ratio_lgamma(n, a)
-
-
-def gamma_ratio_signed(n: int, x: float) -> tuple[int, float]:
-    """Gamma(n + x) / Gamma(x) as (sign, log magnitude).
-
-    Computed as the product prod_{i=0}^{n-1} (i + x), which stays well
-    defined at nonpositive x where Gamma itself has poles.  A zero factor
-    yields (0, -inf).
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    sign = 1
-    log_mag = 0.0
-    for i in range(n):
-        f = i + x
-        if f == 0.0:
-            return 0, NEG_INF
-        if f < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(f))
-    return sign, log_mag
+    return math.lgamma(n - a) - math.lgamma(1.0 - a)
 
 
 class LogStirlingTable:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_math import LogStirlingTable, log_gamma_ratio, log_sum_exp
+from .core_math import LogStirlingTable, log_gamma, log_gamma_ratio, log_sum_exp
 
 # Discounts within this tolerance of zero are routed through the analytic
 # a -> 0 limits; the raw formulas contain 1/a and Gamma(-a) factors that
@@ -55,9 +55,9 @@ class ClusterSizes:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(map(int, self.sizes))
         object.__setattr__(self, "sizes", sizes)
-        if any(s < 1 for s in sizes):
+        if sizes and min(sizes) < 1:
             raise ValueError("cluster sizes must be positive integers")
 
     @cached_property
@@ -72,85 +72,63 @@ class ClusterSizes:
     def size_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique sizes and their multiplicities, ascending; computed once
         per instance and returned read-only."""
-        if not self.sizes:
-            uniq, mult = np.array([], dtype=int), np.array([], dtype=int)
-        else:
-            uniq, mult = np.unique(np.asarray(self.sizes, dtype=int), return_counts=True)
+        uniq, mult = np.unique(np.asarray(self.sizes, dtype=int), return_counts=True)
         uniq.flags.writeable = False
         mult.flags.writeable = False
         return uniq, mult
 
 
-def _kappa_limit(a, p):
-    return -np.log1p(-p)
+def log_size_product(sizes: ClusterSizes, a):
+    """log prod_k Gamma(n_k - a) / Gamma(1 - a), summed over the distinct
+    sizes s with multiplicities m as -l LG(1 - a) + sum_s m LG(s - a).
+
+    LG is math.lgamma for a scalar a and core_math.log_gamma for an array
+    of discounts.  Every argument is at least 1 - a > 0, so every term is
+    finite.
+    """
+    lg = log_gamma if isinstance(a, np.ndarray) else math.lgamma
+    uniq, mult = sizes.size_multiplicities
+    total = -sizes.l * lg(1.0 - a)
+    for s, m in zip(uniq.tolist(), mult.tolist()):
+        total += m * lg(s - a)
+    return total
 
 
-def _kappa_negative(a, p):
-    return np.exp(a * (np.log1p(-p) - np.log(p))) * (-np.expm1(-a * np.log1p(-p))) / (-a)
-
-
-def _kappa_positive(a, p):
-    return -np.expm1(a * np.log1p(-p)) * np.exp(-a * np.log(p)) / a
+def _kappa_formula(xp, a, p, log_q):
+    # log_q = log(1 - p); xp is math or numpy
+    return xp.exp(a * (log_q - xp.log(p))) * xp.expm1(-a * log_q) / a
 
 
 def kappa_ap(a, p):
-    """(1 - (1 - p)^a) / (a p^a), vectorized over a and/or p.
+    """(1 - (1 - p)^a) / (a p^a) by the one formula
 
-    Within ZERO_DISCOUNT_TOL of a = 0 the analytic limit -log(1 - p) is
-    substituted.  For very negative discounts the naive form overflows,
-    so the a < 0 branch is rearranged as
-    ((1 - p) / p)^a (1 - e^{-a log(1 - p)}) / (-a).  A scalar a
-    evaluates only the branch it falls in.
+        exp(a (log(1 - p) - log p)) * expm1(-a log(1 - p)) / a,
+
+    with :mod:`math` for a float pair (an overflow gives inf) and with
+    numpy for arrays, broadcast over a and p.  The second factor over a
+    is positive for every a != 0, so nothing cancels; only the first,
+    ((1 - p) / p)^a, can leave the double range, and only for very
+    negative a.  Within ZERO_DISCOUNT_TOL of a = 0 the limit
+    -log(1 - p) is substituted.
     """
+    if isinstance(a, (int, float)) and isinstance(p, (int, float)):
+        log_q = math.log1p(-p)
+        if abs(a) < ZERO_DISCOUNT_TOL:
+            return -log_q
+        try:
+            return _kappa_formula(math, a, p, log_q)
+        except OverflowError:
+            return math.inf
+    a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
+    log_q = np.log1p(-p)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.ndim(a) == 0:
-            a = float(a)
-            if abs(a) < ZERO_DISCOUNT_TOL:
-                branch = _kappa_limit
-            elif a < 0.0:
-                branch = _kappa_negative
-            else:
-                branch = _kappa_positive
-            out = np.asarray(branch(a, np.asarray(p, dtype=float)))
-        else:
-            a_arr, p_arr = np.broadcast_arrays(
-                np.asarray(a, dtype=float), np.asarray(p, dtype=float)
-            )
-            out = np.where(
-                np.abs(a_arr) < ZERO_DISCOUNT_TOL,
-                _kappa_limit(a_arr, p_arr),
-                np.where(
-                    a_arr < 0.0,
-                    _kappa_negative(a_arr, p_arr),
-                    _kappa_positive(a_arr, p_arr),
-                ),
-            )
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _kappa_scalar(a: float, p: float) -> float:
-    # pure-math twin of kappa_ap; the samplers call this per draw and the
-    # numpy broadcasting overhead dominates at that granularity
-    if abs(a) < ZERO_DISCOUNT_TOL:
-        return -math.log1p(-p)
-    try:
-        if a < 0.0:
-            u = a * math.log1p(-p)
-            return (
-                math.exp(a * (math.log1p(-p) - math.log(p)))
-                * (-math.expm1(-u))
-                / (-a)
-            )
-        return -math.expm1(a * math.log1p(-p)) * math.exp(-a * math.log(p)) / a
-    except OverflowError:
-        return math.inf
+        out = np.where(np.abs(a) < ZERO_DISCOUNT_TOL, -log_q, _kappa_formula(np, a, p, log_q))
+    return float(out) if out.ndim == 0 else out
 
 
 def kappa(params: Params) -> float:
     """Per-unit-mass rate of occupied clusters: l ~ Poisson(gamma0 * kappa)."""
-    return _kappa_scalar(params.a, params.p)
+    return kappa_ap(params.a, params.p)
 
 
 def log_weighted_stirling_sum(n: int, params: Params, stirling: LogStirlingTable) -> float:
@@ -196,8 +174,8 @@ def tnb_log_pmf(u: int, a: float, p: float) -> float:
 
     Rearranged as Gamma(u - a) / (u! Gamma(1 - a)) * p^{u - a} / kappa(a, p),
     which cancels the simultaneous sign flips of Gamma(-a) and the raw
-    normalizer at a = 0 analytically.  Within ZERO_DISCOUNT_TOL of a = 0
-    this reduces to the logarithmic distribution p^u / (-u log(1 - p)).
+    normalizer at a = 0 analytically; at a = 0 it is the logarithmic
+    distribution p^u / (-u log(1 - p)).
     """
     if u < 1:
         raise ValueError(f"cluster size must be >= 1, got {u}")
@@ -205,13 +183,11 @@ def tnb_log_pmf(u: int, a: float, p: float) -> float:
         raise ValueError(f"discount must satisfy a < 1, got {a}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if abs(a) < ZERO_DISCOUNT_TOL:
-        return u * math.log(p) - math.log(u) - math.log(-math.log1p(-p))
     return (
         log_gamma_ratio(u, a)
         - math.lgamma(u + 1)
         + (u - a) * math.log(p)
-        - math.log(_kappa_scalar(a, p))
+        - math.log(kappa_ap(a, p))
     )
 
 
@@ -227,7 +203,7 @@ def tnb_sample(a: float, p: float, rng: np.random.Generator) -> int:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     u = 1
-    pmf = math.exp(tnb_log_pmf(1, a, p))
+    pmf = p ** (1.0 - a) / kappa_ap(a, p)
     target = rng.random()
     acc = pmf
     while target > acc:

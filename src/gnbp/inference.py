@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_math import log_gamma, log_sum_exp
+from .core_math import log_sum_exp
 # Unused here, but perfbench/tracing.py wraps this name in this module.
 from .core_math import build_stirling_table  # noqa: F401
 from .distributions import (
@@ -26,6 +26,7 @@ from .distributions import (
     Params,
     kappa,
     kappa_ap,
+    log_size_product,
 )
 from .diversity import simpson_theta
 from .partitions import ecpf_log
@@ -130,16 +131,6 @@ def _a_grid(step: float) -> np.ndarray:
     return 2.0 - 1.0 / atil
 
 
-def _discount_data_term(sizes: ClusterSizes, a_values: np.ndarray) -> np.ndarray:
-    """sum_k [lgamma(n_k - a) - lgamma(1 - a)] over grid values, with size
-    multiplicities so ties cost one lgamma each."""
-    term = -sizes.l * log_gamma(1.0 - a_values)
-    uniq, mult = sizes.size_multiplicities
-    for s, m in zip(uniq, mult):
-        term += m * log_gamma(s - a_values)
-    return term
-
-
 def a_grid_log_target(
     sizes: ClusterSizes,
     gamma0: float,
@@ -156,7 +147,7 @@ def a_grid_log_target(
     it once and passes it as ``data_term``.
     """
     if data_term is None:
-        data_term = _discount_data_term(sizes, a_values)
+        data_term = log_size_product(sizes, a_values)
     with np.errstate(over="ignore", invalid="ignore"):
         return data_term - gamma0 * kappa_ap(a_values, p) - a_values * (sizes.l * math.log(p))
 
@@ -170,7 +161,7 @@ def _discount_grid(sizes: ClusterSizes, config: ChainConfig) -> tuple[np.ndarray
         a_values = a_values[a_values >= 0.0]
     elif kind == "neg":
         a_values = a_values[a_values < 0.0]
-    return a_values, _discount_data_term(sizes, a_values)
+    return a_values, log_size_product(sizes, a_values)
 
 
 def _grid_draw(values: np.ndarray, logw: np.ndarray, rng: np.random.Generator) -> float:

@@ -18,8 +18,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_math import LogStirlingTable, log_gamma_ratio
-from .distributions import ClusterSizes, Params, kappa, log_weighted_stirling_sum
+from .core_math import LogStirlingTable
+from .distributions import (
+    ClusterSizes,
+    Params,
+    kappa,
+    log_size_product,
+    log_weighted_stirling_sum,
+)
 
 # Enumeration of set partitions is meant for oracle-style checks only;
 # Bell(10) = 115975 is the largest count we ever want to materialize.
@@ -113,14 +119,6 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
-def _log_size_product(sizes: ClusterSizes, a: float) -> float:
-    """log prod_k Gamma(n_k - a) / Gamma(1 - a), grouped by distinct size."""
-    uniq, mult = sizes.size_multiplicities
-    return float(
-        sum(m * log_gamma_ratio(int(s), a) for s, m in zip(uniq, mult))
-    )
-
-
 def ecpf_log(sizes: ClusterSizes, params: Params) -> float:
     """Log joint probability of a canonical label sequence with the given
     block sizes together with its sample size n:
@@ -136,7 +134,7 @@ def ecpf_log(sizes: ClusterSizes, params: Params) -> float:
         - params.gamma0 * kappa(params)
         + l * math.log(params.gamma0)
         + (n - params.a * l) * math.log(params.p)
-        + _log_size_product(sizes, params.a)
+        + log_size_product(sizes, params.a)
     )
 
 
@@ -149,7 +147,7 @@ def gcrsf_log_eppf(
     l = sizes.l
     return (
         l * (math.log(params.gamma0) - params.a * math.log(params.p))
-        + _log_size_product(sizes, params.a)
+        + log_size_product(sizes, params.a)
         - log_weighted_stirling_sum(sizes.n, params, stirling)
     )
 
@@ -392,7 +390,7 @@ def subset_marginal_log(
     return (
         rtable.entry(i, l)
         + l * (math.log(params.gamma0) - params.a * math.log(params.p))
-        + _log_size_product(sizes, params.a)
+        + log_size_product(sizes, params.a)
         - log_weighted_stirling_sum(n, params, stirling)
     )
 
@@ -441,7 +439,7 @@ def addition_rule_residual(
         raise ValueError(f"need m < n, got m={m}, n={n}")
     a = params.a
     log_unit = math.log(params.gamma0) - a * math.log(params.p)
-    log_prod = _log_size_product(sizes, a)
+    log_prod = log_size_product(sizes, a)
     rtable = build_log_r_table(n, params, mode="frontier", i_min=m + 1)
     log_den_n = log_weighted_stirling_sum(n, params, stirling)
     log_den_m = log_weighted_stirling_sum(m, params, stirling)

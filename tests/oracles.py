@@ -12,9 +12,58 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
-from gnbp import LogRTable, Params, gamma_ratio_signed, kappa
+from gnbp import LogRTable, Params
+
+
+def gamma_ratio_signed(n: int, x: float) -> tuple[int, float]:
+    """Gamma(n + x) / Gamma(x) as (sign, log magnitude).
+
+    Computed as the product prod_{i=0}^{n-1} (i + x), which stays well
+    defined at nonpositive x where Gamma itself has poles.  A zero factor
+    yields (0, -inf).
+    """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    sign = 1
+    log_mag = 0.0
+    for i in range(n):
+        f = i + x
+        if f == 0.0:
+            return 0, float("-inf")
+        if f < 0.0:
+            sign = -sign
+        log_mag += math.log(abs(f))
+    return sign, log_mag
+
+
+def _log_tnb_terms(u: np.ndarray, a: float, p: float) -> np.ndarray:
+    # log of Gamma(u - a) / (u! Gamma(1 - a)) p^(u - a), all terms positive
+    return gammaln(u - a) - gammaln(u + 1.0) - gammaln(1.0 - a) + (u - a) * math.log(p)
+
+
+def kappa_series(a: float, p: float, chunk: int = 1 << 16,
+                 rel_tail: float = 1e-20) -> float:
+    """kappa(a, p) as the normalizer of the truncated negative binomial,
+    sum_{u >= 1} Gamma(u - a) / (u! Gamma(1 - a)) p^(u - a), summed in
+    log space chunk by chunk.  Terms rise while p (u - a) / (u + 1) > 1
+    and fall geometrically after, so the sum stops once past that peak
+    the last term is below ``rel_tail`` of the sum.  No closed form, no
+    a = 0 limit: a = 0 is the series of -log(1 - p)."""
+    parts = []
+    start = 1
+    while True:
+        u = np.arange(start, start + chunk, dtype=float)
+        logs = _log_tnb_terms(u, a, p)
+        parts.append(logsumexp(logs))
+        total = logsumexp(parts)
+        falling = p * (u[-1] - a) / (u[-1] + 1.0) < 1.0
+        if falling and logs[-1] < total + math.log(rel_tail):
+            return math.exp(total)
+        start += chunk
+        if start > 100 * chunk:
+            raise RuntimeError("kappa series did not reach its tail")
 
 
 def signed_log_sum(signs, logs) -> tuple[int, float]:
@@ -133,13 +182,13 @@ def gnb_pmf_by_alternating_series(n: int, params: Params) -> float:
 def exact_total_count_pmf(params: Params, upto: int) -> np.ndarray:
     """Marginal count PMF for n = 0..upto by direct series evaluation of
     the compound law: sum over cluster counts of Poisson(l) times the
-    l-fold size-sum distribution, computed by convolution."""
-    import gnbp
-
-    lam = params.gamma0 * kappa(params)
+    l-fold size-sum distribution, computed by convolution.  The rate and
+    the size law both come from the series of :func:`kappa_series`."""
+    kap = kappa_series(params.a, params.p)
+    lam = params.gamma0 * kap
     size_pmf = np.zeros(upto + 1)
-    for u in range(1, upto + 1):
-        size_pmf[u] = math.exp(gnbp.tnb_log_pmf(u, params.a, params.p))
+    u = np.arange(1, upto + 1, dtype=float)
+    size_pmf[1:] = np.exp(_log_tnb_terms(u, params.a, params.p)) / kap
     out = np.zeros(upto + 1)
     conv = np.zeros(upto + 1)
     conv[0] = 1.0  # zero clusters: point mass at 0

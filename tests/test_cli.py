@@ -262,6 +262,39 @@ class TestSimulate:
             run_cli(args + ["16384"])
         assert built == [16384]
 
+    @pytest.mark.parametrize(
+        "params",
+        [("--gamma0", "1e300", "--a", "0.5", "--p", "0.5"),
+         ("--gamma0", "1", "--a", "-9998", "--p", "0.999")],
+        ids=["huge-gamma0", "infinite-kappa"],
+    )
+    def test_poisson_rate_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys, params):
+        monkeypatch.setattr(gnbp.cli, "sample_cluster_structure", _no_draw)
+        code = run_cli(["simulate", *params, "--count", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma0 * kappa") and err.count("\n") == 1
+
+    def test_poisson_rate_limit(self, tmp_path, monkeypatch, capsys):
+        # gamma0 kappa just above 2**20 exits 2 without drawing; just below
+        # it reaches the sampler, which is replaced by a stub
+        monkeypatch.setattr(gnbp.cli, "sample_cluster_structure", _no_draw)
+        unit = gnbp.kappa(gnbp.Params(1.0, 0.5, 0.5))
+        args = ["simulate", "--a", "0.5", "--p", "0.5", "--count", "1",
+                "--out", str(tmp_path / "x.csv"), "--gamma0"]
+        assert run_cli(args + [repr(2**20 / unit * (1 + 1e-12))]) == 2
+        assert capsys.readouterr().err.startswith("error: gamma0 * kappa")
+        with pytest.raises(AssertionError, match="drawn"):
+            run_cli(args + [repr(2**20 / unit * (1 - 1e-12))])
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            ["simulate", "--gamma0", "1", "--a", "0.5", "--p", "0.5",
+             "--seed", "-1", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --seed")
+
     def test_count_zero_emits_header_only(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = run_cli(
@@ -306,6 +339,11 @@ class TestValidate:
         assert code == 0
         assert "FAIL" not in captured
         assert "stirling-r-identity[n=500]" in captured
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert run_cli(["validate", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and err.count("\n") == 1
 
     def test_check_results_structure(self):
         checks = run_validation_checks(level="quick", seed=1)
@@ -376,3 +414,26 @@ class TestReproduceTable1:
              "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--size", "5000"], ["--size", "0"], ["--modes", "bogus"],
+         ["--iterations", "10", "--burn-in", "50"], ["--seed", "-3"],
+         ["--workers", "0"], ["--target", "nan"]],
+        ids=["size-above-population", "size-zero", "unknown-mode",
+             "burn-in-not-below-iterations", "negative-seed", "zero-workers",
+             "target-not-a-probability"],
+    )
+    def test_bad_input_exits_2_before_any_chain(self, tmp_path, monkeypatch, capsys, bad):
+        def no_chain(sizes, config):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(gnbp.cli, "run_chain", no_chain)
+        code = run_cli(["reproduce-table1", "--replicates", "1", *bad, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _no_draw(params, rng):
+    raise AssertionError("drawn")

@@ -16,14 +16,18 @@ from gnbp import (
     tnb_log_pmf,
     tnb_sample,
 )
-from gnbp.distributions import kappa_ap
+from gnbp.distributions import kappa_ap, log_size_product
 
 from oracles import (
     collect_counts,
     exact_total_count_pmf,
     gnb_pmf_by_alternating_series,
+    kappa_series,
     tv_distance_counts,
 )
+
+KAPPA_A = [-50.0, -2.0, -1.0, -1e-7, 1e-7, 0.3, 0.5, 0.9, 0.999]
+KAPPA_P = [1e-3, 0.1, 0.5, 0.9, 0.999]
 
 
 class TestParams:
@@ -52,6 +56,12 @@ class TestClusterSizes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ClusterSizes((1, 0))
+
+    def test_entries_become_ints(self):
+        s = ClusterSizes((np.int64(2), 3.0, "4"))
+        assert s.sizes == (2, 3, 4) and all(type(x) is int for x in s.sizes)
+        with pytest.raises(ValueError):
+            ClusterSizes((1, "x"))
 
     def test_n_cached(self):
         s = ClusterSizes((3, 1, 3, 2, 3))
@@ -104,6 +114,43 @@ class TestKappa:
         assert np.array_equal(
             kappa_ap(a, p), kappa_ap(np.full_like(p, a), p), equal_nan=True
         )
+
+
+    @pytest.mark.parametrize("a", KAPPA_A)
+    def test_matches_series_oracle(self, a):
+        for p in KAPPA_P:
+            assert kappa_ap(a, p) == pytest.approx(kappa_series(a, p), rel=1e-11)
+
+    def test_float_and_array_paths_agree(self):
+        a, p = (np.array(x) for x in zip(*[(a, p) for a in KAPPA_A for p in KAPPA_P]))
+        floats = np.array([kappa_ap(float(x), float(y)) for x, y in zip(a, p)])
+        arrays = kappa_ap(a, p)
+        assert np.max(np.abs(arrays - floats) / floats) <= 2e-15
+
+    def test_float_overflow_is_inf(self):
+        assert kappa_ap(-9998.0, 0.999) == math.inf
+        assert kappa_ap(np.array([-9998.0]), 0.999)[0] == math.inf
+
+
+class TestLogSizeProduct:
+    SIZES = ClusterSizes((1, 1, 1, 2, 5, 5, 40, 300))
+
+    @pytest.mark.parametrize("a", [-50.0, -1.0, 0.0, 0.5, 0.99])
+    def test_matches_sum_of_logs(self, a):
+        want = math.fsum(
+            math.log(i - a) for s in self.SIZES.sizes for i in range(1, s)
+        )
+        assert log_size_product(self.SIZES, a) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    def test_array_matches_scalar(self):
+        a = np.array([-50.0, -1.0, 0.0, 0.5, 0.99])
+        got = log_size_product(self.SIZES, a)
+        want = np.array([log_size_product(self.SIZES, float(x)) for x in a])
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+    def test_empty_and_singletons_are_zero(self):
+        assert log_size_product(ClusterSizes(()), 0.5) == 0.0
+        assert log_size_product(ClusterSizes((1, 1, 1)), -3.0) == 0.0
 
 
 class TestGnbLogPmf:
