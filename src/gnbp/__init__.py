@@ -48,6 +48,7 @@ from .inference import (
     a_mode_allows,
     parse_a_mode,
     run_chain,
+    run_chains,
     update_a_griddy,
     update_gamma0,
     update_p,
@@ -106,6 +107,7 @@ __all__ = [
     "posterior_simpson",
     "prob_distinct_pair",
     "run_chain",
+    "run_chains",
     "sample_cluster_structure",
     "sample_crm_counts",
     "sequential_sample",

@@ -42,7 +42,7 @@ from .diversity import (
     simpson_sample_estimate,
     summarize,
 )
-from .inference import ChainConfig, run_chain
+from .inference import ChainConfig, run_chain, run_chains
 from .partitions import (
     Assignments,
     addition_rule_residual,
@@ -135,7 +135,10 @@ def cmd_estimate(args) -> int:
     name, fc = _load_counts(args)
     sizes = to_cluster_sizes(fc)
     chain_cfg = _chain_config(args)
-    draws = run_chain(sizes, chain_cfg)
+    try:
+        draws = run_chain(sizes, chain_cfg)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,39 +407,60 @@ def _derived_seed(*parts: int) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _table1_population(fc_entries: tuple[tuple[int, int], ...]) -> Assignments:
-    # one expansion per process, shared by every (replicate, mode) task;
-    # Assignments is immutable, so sharing it is safe
+    # one expansion per process, shared by every replicate; Assignments is
+    # immutable, so sharing it is safe
     return to_assignments(FrequencyCounts(fc_entries))
 
 
-def _table1_task(payload: dict) -> dict:
-    population = _table1_population(payload["fc_entries"])
-    config, replicate = payload["config"], payload["replicate"]
-    sub_rng = np.random.default_rng(np.random.SeedSequence([config.seed, replicate]))
-    sub = subsample_without_replacement(population, payload["size"], sub_rng)
-    sizes = sub.cluster_sizes()
-    cfg = dataclasses.replace(
-        config, seed=_derived_seed(config.seed, replicate, payload["mode_idx"])
-    )
-    draws = run_chain(sizes, cfg)
-    summ = summarize(d.s_theta for d in draws)
-    target = payload["target"]
-    return {
-        "replicate": replicate,
-        "mode": config.a_mode,
-        "n": sizes.n,
-        "l": sizes.l,
-        "mean": summ.mean,
-        "median": summ.median,
-        "lo50": summ.lo50,
-        "hi50": summ.hi50,
-        "lo95": summ.lo95,
-        "hi95": summ.hi95,
-        "mean_bias": abs(summ.mean - target),
-        "median_bias": abs(summ.median - target),
-        "cover50": int(summ.covers50(target)),
-        "cover95": int(summ.covers95(target)),
-    }
+def _table1_rows(
+    fc_entries: tuple[tuple[int, int], ...],
+    size: int,
+    configs: tuple[ChainConfig, ...],
+    target: float,
+    replicates: range,
+) -> list[dict]:
+    """Per-replicate rows, replicate-major, for a contiguous range of
+    replicates.  Each replicate's subsample is drawn once; each mode's
+    chains then run as one lockstep block."""
+    population = _table1_population(fc_entries)
+    seed = configs[0].seed
+    subsamples = [
+        subsample_without_replacement(
+            population, size, np.random.default_rng(np.random.SeedSequence([seed, rep]))
+        ).cluster_sizes()
+        for rep in replicates
+    ]
+    chains_by_mode = [
+        run_chains(
+            subsamples,
+            [dataclasses.replace(config, seed=_derived_seed(seed, rep, mode_idx))
+             for rep in replicates],
+        )
+        for mode_idx, config in enumerate(configs)
+    ]
+    rows = []
+    for k, (rep, sizes) in enumerate(zip(replicates, subsamples)):
+        for config, chains in zip(configs, chains_by_mode):
+            summ = summarize(d.s_theta for d in chains[k])
+            rows.append(
+                {
+                    "replicate": rep,
+                    "mode": config.a_mode,
+                    "n": sizes.n,
+                    "l": sizes.l,
+                    "mean": summ.mean,
+                    "median": summ.median,
+                    "lo50": summ.lo50,
+                    "hi50": summ.hi50,
+                    "lo95": summ.lo95,
+                    "hi95": summ.hi95,
+                    "mean_bias": abs(summ.mean - target),
+                    "median_bias": abs(summ.median - target),
+                    "cover50": int(summ.covers50(target)),
+                    "cover95": int(summ.covers95(target)),
+                }
+            )
+    return rows
 
 
 def run_table1_study(
@@ -458,9 +482,12 @@ def run_table1_study(
     drawn (shared across modes), one chain per discount mode is run, and
     the posterior diversity summaries are compared against the target
     value.  Returns (per-replicate rows, per-mode aggregate rows).
-    Replicate/mode pairs run independently, each with its own stream
-    derived from (seed, replicate, mode index).  Every argument is checked
-    before any chain runs; a bad one raises InputError, a ValueError.
+    Each chain has its own stream derived from (seed, replicate, mode
+    index); the chains of one mode run as one lockstep block, and with
+    ``workers`` > 1 contiguous ranges of replicates run in separate
+    processes, which leaves every row unchanged.  Every argument is
+    checked before any chain runs; a bad one, or a chain that reaches a
+    degenerate state, raises InputError, a ValueError.
     """
     fc = bundled_datasets()["est-tomato"]
     try:
@@ -485,25 +512,20 @@ def run_table1_study(
         configs = [dataclasses.replace(config, a_mode=mode) for mode in modes]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    payloads = [
-        {
-            "fc_entries": fc.entries,
-            "replicate": rep,
-            "mode_idx": mode_idx,
-            "config": mode_config,
-            "size": size,
-            "target": target,
-        }
-        for rep in range(replicates)
-        for mode_idx, mode_config in enumerate(configs)
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    rows_for = functools.partial(_table1_rows, fc.entries, size, tuple(configs), target)
+    chunks = min(workers, replicates)
+    bounds = [replicates * k // chunks for k in range(chunks + 1)]
+    try:
+        if chunks > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            detail = list(pool.map(_table1_task, payloads))
-    else:
-        detail = [_table1_task(p) for p in payloads]
+            with ProcessPoolExecutor(max_workers=chunks) as pool:
+                parts = pool.map(rows_for, map(range, bounds, bounds[1:]))
+                detail = [row for part in parts for row in part]
+        else:
+            detail = rows_for(range(replicates))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     aggregate = []
     for mode in modes:

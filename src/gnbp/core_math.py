@@ -27,13 +27,25 @@ def log_sum_exp(values) -> float:
     Accepts any sequence of reals, possibly containing -inf entries.
     Returns -inf for an empty sequence or when every entry is -inf.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(np.max(arr))
-    if math.isinf(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return log_sum_exp_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
+
+
+def log_sum_exp_rows(matrix: np.ndarray) -> list[float]:
+    """:func:`log_sum_exp` of each row of a 2-D array, as a list.
+
+    A row's maximum m is shifted out and the logarithm taken with
+    math.log, m + log(sum(exp(row - m))); a row whose maximum is infinite
+    gives that maximum.
+    """
+    if matrix.shape[1] == 0:
+        return [NEG_INF] * matrix.shape[0]
+    peak = matrix.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        mass = np.exp(matrix - peak[:, None]).sum(axis=1)
+    return [
+        m if math.isinf(m) else m + math.log(s)
+        for m, s in zip(peak.tolist(), mass.tolist())
+    ]
 
 
 def log_gamma(x) -> np.ndarray:

@@ -94,9 +94,10 @@ def log_size_product(sizes: ClusterSizes, a):
     return total
 
 
-def _kappa_formula(xp, a, p, log_q):
-    # log_q = log(1 - p); xp is math or numpy
-    return xp.exp(a * (log_q - xp.log(p))) * xp.expm1(-a * log_q) / a
+def kappa_formula(xp, a, log_p, log_q):
+    """kappa(a, p) for a != 0 from log_p = log p and log_q = log(1 - p),
+    with xp = math or numpy; see :func:`kappa_ap`."""
+    return xp.exp(a * (log_q - log_p)) * xp.expm1(-a * log_q) / a
 
 
 def kappa_ap(a, p):
@@ -116,13 +117,14 @@ def kappa_ap(a, p):
         if abs(a) < ZERO_DISCOUNT_TOL:
             return -log_q
         try:
-            return _kappa_formula(math, a, p, log_q)
+            return kappa_formula(math, a, math.log(p), log_q)
         except OverflowError:
             return math.inf
     a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
     log_q = np.log1p(-p)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.where(np.abs(a) < ZERO_DISCOUNT_TOL, -log_q, _kappa_formula(np, a, p, log_q))
+        formula = kappa_formula(np, a, np.log(p), log_q)
+        out = np.where(np.abs(a) < ZERO_DISCOUNT_TOL, -log_q, formula)
     return float(out) if out.ndim == 0 else out
 
 
@@ -197,13 +199,23 @@ def tnb_sample(a: float, p: float, rng: np.random.Generator) -> int:
     Successive PMF values follow the ratio recursion
     p(u + 1) / p(u) = p (u - a) / (u + 1), so the walk needs one
     multiply-add per support point and no envelope tuning.
+
+    The walk starts at pmf(1) = p^(1 - a) / kappa(a, p), which must be a
+    positive double.  For very negative a it is not: at a = -9998,
+    p = 0.1 both factors underflow to 0.  Such (a, p) raise ValueError.
     """
     if a >= 1.0:
         raise ValueError(f"discount must satisfy a < 1, got {a}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     u = 1
-    pmf = p ** (1.0 - a) / kappa_ap(a, p)
+    kap = kappa_ap(a, p)
+    pmf = p ** (1.0 - a) / kap if kap > 0.0 else math.nan
+    if not 0.0 < pmf < math.inf:
+        raise ValueError(
+            f"truncated negative binomial at a={a}, p={p}: pmf(1) = p^(1-a) / kappa "
+            f"is {pmf}, not a positive double"
+        )
     target = rng.random()
     acc = pmf
     while target > acc:

@@ -10,11 +10,23 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from gnbp import LogRTable, Params
+from gnbp import (
+    ChainConfig,
+    ClusterSizes,
+    LogRTable,
+    Params,
+    PosteriorDraw,
+    ecpf_log,
+    kappa,
+    parse_a_mode,
+    simpson_theta,
+)
+from gnbp.distributions import ZERO_DISCOUNT_TOL, kappa_ap, log_size_product
 
 
 def gamma_ratio_signed(n: int, x: float) -> tuple[int, float]:
@@ -300,6 +312,75 @@ def sequential_sample_reference(
             counts.append(1)
             labels.append(l + 1)
     return tuple(labels)
+
+
+def _log_sum_exp_reference(values: np.ndarray) -> float:
+    m = float(np.max(values))
+    if math.isinf(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(values - m))))
+
+
+def _grid_draw_reference(values: np.ndarray, logw: np.ndarray, rng) -> float:
+    norm = _log_sum_exp_reference(logw)
+    if norm == float("-inf"):
+        raise RuntimeError("every grid point has zero posterior mass")
+    cdf = np.cumsum(np.exp(logw - norm))
+    idx = int(np.searchsorted(cdf, rng.random()))
+    return float(values[min(idx, len(values) - 1)])
+
+
+def run_chain_reference(sizes: ClusterSizes, config: ChainConfig) -> list[PosteriorDraw]:
+    """One Gibbs chain over (gamma0, a, p), one scalar update at a time:
+    the per-chain loop the lockstep ``run_chains`` must reproduce draw
+    for draw.  Each iteration draws gamma0 ~ Gamma(e0 + l, 1 / (f0 +
+    kappa)), then a by inverse CDF over the discount grid (unless the
+    mode fixes it), then p from Beta(1 + n, 1 + gamma0) at a = 0 or by
+    inverse CDF over the p grid."""
+    kind, fixed = parse_a_mode(config.a_mode)
+    rng = np.random.default_rng(config.seed)
+    if config.init is not None:
+        params = config.init
+    else:
+        gamma0 = float(max(sizes.l, 1))
+        a0 = fixed if kind == "fixed" else (-2.0 if kind == "neg" else 0.0)
+        params = Params(gamma0, a0, sizes.n / (sizes.n + gamma0))
+    m = int(round(1.0 / config.a_grid_step))
+    a_values = 2.0 - 1.0 / (np.arange(1, m, dtype=float) * config.a_grid_step)
+    if kind == "nonneg":
+        a_values = a_values[a_values >= 0.0]
+    elif kind == "neg":
+        a_values = a_values[a_values < 0.0]
+    data_term = log_size_product(sizes, a_values)
+    m = int(round(1.0 / config.p_grid_step))
+    p_values = np.arange(1, m, dtype=float) * config.p_grid_step
+    log_p = np.log(p_values)
+    draws = []
+    for t in range(1, config.iterations + 1):
+        scale = 1.0 / (config.f0 + kappa(params))
+        params = replace(params, gamma0=float(rng.gamma(config.e0 + sizes.l, scale)))
+        if kind != "fixed":
+            with np.errstate(over="ignore", invalid="ignore"):
+                logw = (
+                    data_term
+                    - params.gamma0 * kappa_ap(a_values, params.p)
+                    - a_values * (sizes.l * math.log(params.p))
+                )
+            params = replace(params, a=_grid_draw_reference(a_values, logw, rng))
+        a = params.a
+        if abs(a) < ZERO_DISCOUNT_TOL:
+            p = float(rng.beta(1.0 + sizes.n, 1.0 + params.gamma0))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                logw = -params.gamma0 * kappa_ap(a, p_values) + (sizes.n - a * sizes.l) * log_p
+            p = _grid_draw_reference(p_values, logw, rng)
+        params = replace(params, p=p)
+        if t <= config.burn_in or (t - config.burn_in) % config.thin != 0:
+            continue
+        draws.append(
+            PosteriorDraw(t, params, ecpf_log(sizes, params), simpson_theta(params))
+        )
+    return draws
 
 
 def tv_distance_counts(emp: dict[int, int], total: int, exact: np.ndarray) -> float:

@@ -126,6 +126,26 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dataset", "est-tomato", "--e0", "nan"],
+            ["--dataset", "est-tomato", "--f0", "inf"],
+            ["--dataset", "est-tomato", "--e0", "inf"],
+            ["--dataset", "est-tomato", "--a-mode", "fixed=-inf"],
+            ["--dataset", "tcr-treg-diabetic-1", "--a-mode", "fixed=-1e300"],
+            ["--dataset", "tcr-treg-diabetic-1", "--a-mode", "fixed=-9998"],
+            ["--dataset", "est-tomato", "--a-mode", "fixed=-9998"],
+        ],
+        ids=["e0-nan", "f0-inf", "e0-inf", "fixed-minus-inf", "tcr-fixed-minus-1e300",
+             "tcr-fixed-minus-9998", "est-fixed-minus-9998"],
+    )
+    def test_degenerate_chain_settings_exit_2(self, tmp_path, capsys, args):
+        code = run_cli(["estimate", *args, "--out", str(tmp_path)] + FAST_CHAIN)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     # Both inputs below ran past 120 s while the diversity index was a
     # series over n; at 50 retained draws each now takes well under 1 s.
     def _check_bounded_cost(self, tmp_path, source):
@@ -408,6 +428,16 @@ class TestReproduceTable1:
         gnbp.cli._table1_population.cache_clear()
         assert len(calls) == 1
 
+    def test_discount_too_far_below_zero_exits_2(self, tmp_path, capsys):
+        # kappa overflows at the initial p of any subsample with l < n
+        code = run_cli(
+            ["reproduce-table1", "--replicates", "3", "--modes", "fixed=-1e300",
+             "--iterations", "10", "--burn-in", "5", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_modes_exit_2(self, tmp_path):
         code = run_cli(
             ["reproduce-table1", "--replicates", "1", "--modes", " ",
@@ -425,10 +455,10 @@ class TestReproduceTable1:
              "target-not-a-probability"],
     )
     def test_bad_input_exits_2_before_any_chain(self, tmp_path, monkeypatch, capsys, bad):
-        def no_chain(sizes, config):
+        def no_chain(sizes_seq, configs):
             raise AssertionError("a chain ran")
 
-        monkeypatch.setattr(gnbp.cli, "run_chain", no_chain)
+        monkeypatch.setattr(gnbp.cli, "run_chains", no_chain)
         code = run_cli(["reproduce-table1", "--replicates", "1", *bad, "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err

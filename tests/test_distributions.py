@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,13 @@ class TestTnbSample:
         exact_mean = sum(u * math.exp(tnb_log_pmf(u, a, p)) for u in range(1, 400))
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - exact_mean) < 3 * se
+
+    @pytest.mark.parametrize("a, p", [(-9998.0, 0.1), (-1e300, 0.9)])
+    def test_degenerate_first_mass_raises_value_error(self, a, p):
+        # pmf(1) = p^(1-a) / kappa underflows to 0 / 0 at (-9998, 0.1);
+        # kappa overflows at (-1e300, 0.9)
+        with pytest.raises(ValueError, match=re.escape(f"a={a}, p={p}")):
+            tnb_sample(a, p, np.random.default_rng(0))
 
 
 class TestClusterStructureSampler:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,17 +10,23 @@ from gnbp import (
     Params,
     a_mode_allows,
     build_stirling_table,
+    bundled_datasets,
     ecpf_log,
     kappa,
     parse_a_mode,
     run_chain,
+    run_chains,
     sample_cluster_structure,
     simpson_theta,
+    subsample_without_replacement,
+    to_assignments,
+    to_cluster_sizes,
     update_a_griddy,
     update_gamma0,
     update_p,
 )
 from gnbp.inference import _a_grid, a_grid_log_target
+from oracles import run_chain_reference
 
 DATA = ClusterSizes((1, 1, 2, 3, 3))
 
@@ -255,3 +262,58 @@ class TestRunChain:
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError):
             run_chain(ClusterSizes(()), ChainConfig())
+
+
+def _block_data() -> list[ClusterSizes]:
+    # four size-50 EST subsamples (two all singletons) and the TCR data
+    population = to_assignments(bundled_datasets()["est-tomato"])
+    rng = np.random.default_rng(25)
+    subsamples = [subsample_without_replacement(population, 50, rng).cluster_sizes()
+                  for _ in range(4)]
+    return subsamples + [to_cluster_sizes(bundled_datasets()["tcr-treg-diabetic-1"])]
+
+
+def _block_config(mode: str, seed: int = 200) -> ChainConfig:
+    return ChainConfig(iterations=40, burn_in=0, seed=seed, a_mode=mode,
+                       a_grid_step=1e-3, p_grid_step=5e-3)
+
+
+class TestRunChains:
+    @pytest.mark.parametrize("mode", ["free", "nonneg", "neg", "fixed=-1", "fixed=0"])
+    def test_block_matches_reference_chains(self, mode):
+        data = _block_data()
+        configs = [_block_config(mode, 200 + i) for i in range(len(data))]
+        block = run_chains(data, configs)
+        assert block == [run_chain_reference(s, c) for s, c in zip(data, configs)]
+        if mode == "free":
+            # the TCR chain visits a = 0, so its p update takes the beta branch
+            assert any(d.params.a == 0.0 for d in block[-1])
+
+    def test_block_of_one_matches_reference_chain(self):
+        data = _block_data()[-1]
+        config = ChainConfig(iterations=60, burn_in=20, thin=3, seed=8, a_grid_step=1e-3)
+        assert run_chains([data], [config]) == [run_chain_reference(data, config)]
+        assert run_chain(data, config) == run_chain_reference(data, config)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"iterations": 41}, {"burn_in": 1}, {"thin": 2}, {"e0": 0.02}, {"f0": 0.02},
+         {"a_mode": "neg"}, {"a_grid_step": 2e-3}, {"p_grid_step": 1e-2},
+         {"init": Params(1.0, 0.5, 0.5)}],
+    )
+    def test_configs_differing_beyond_seed_rejected(self, change):
+        base = _block_config("free")
+        other = replace(base, seed=201, **change)
+        with pytest.raises(ValueError, match="only in their seed"):
+            run_chains([DATA, DATA], [base, other])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            run_chains([DATA, DATA], [_block_config("free")])
+        with pytest.raises(ValueError):
+            run_chains([], [])
+
+    def test_overflowing_kappa_raises_value_error(self):
+        data = _block_data()[-1]
+        with pytest.raises(ValueError, match="gamma0 drew 0.0"):
+            run_chain(data, _block_config("fixed=-9998"))
